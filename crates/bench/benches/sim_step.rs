@@ -22,7 +22,7 @@ fn bench_sim(c: &mut Criterion) {
                     let mut cfg = presets::smoke();
                     cfg.duration_secs = 600.0;
                     cfg.policy = policy;
-                    let report = World::build(&cfg).run();
+                    let report = World::build(&cfg).run().report;
                     black_box(report.delivered())
                 })
             },
@@ -33,7 +33,7 @@ fn bench_sim(c: &mut Criterion) {
         b.iter(|| {
             let mut cfg = presets::random_waypoint_paper();
             cfg.duration_secs = 1800.0;
-            let report = World::build(&cfg).run();
+            let report = World::build(&cfg).run().report;
             black_box(report.delivered())
         })
     });

@@ -23,7 +23,7 @@ fn bench_run_overhead(c: &mut Criterion) {
 
     g.bench_function("smoke_600s_baseline", |b| {
         b.iter(|| {
-            let report = World::build(&smoke_cfg()).run();
+            let report = World::build(&smoke_cfg()).run().report;
             black_box(report.delivered())
         })
     });

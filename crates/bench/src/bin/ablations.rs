@@ -52,7 +52,8 @@ fn run_avg(cfg: &ScenarioConfig, seeds: &[u64]) -> (f64, f64, f64) {
         let r = if VALIDATE_CELLS.load(Ordering::Relaxed) {
             let mut world = World::build(&c);
             world.enable_validation(dtn_validate::ValidateConfig::default());
-            let (r, validation, _rec) = world.run_validated();
+            let out = world.run();
+            let validation = out.validation.expect("validation enabled");
             if !validation.ok() {
                 CELL_VIOLATIONS.fetch_add(validation.violation_count, Ordering::Relaxed);
                 eprintln!(
@@ -62,11 +63,11 @@ fn run_avg(cfg: &ScenarioConfig, seeds: &[u64]) -> (f64, f64, f64) {
                     validation.summary()
                 );
             }
-            r
+            out.report
         } else if k == 0 && VALIDATE.load(Ordering::Relaxed) {
             run_checked(&c)
         } else {
-            World::build(&c).run()
+            World::build(&c).run().report
         };
         d.push(r.delivery_ratio());
         h.push(r.avg_hopcount());

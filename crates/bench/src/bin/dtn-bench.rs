@@ -608,7 +608,7 @@ fn bench_congestion(quick: bool) -> Vec<CongestionResult> {
             let mut cfg = buffer_pressure_cfg(quick);
             cfg.policy = policy;
             let started = Instant::now();
-            let report = World::build(&cfg).run();
+            let report = World::build(&cfg).run().report;
             let wall = started.elapsed().as_secs_f64();
             eprintln!(
                 "congestion       {:<16}: {:7.3}s wall, delivery {:.4}, drops {}, rejects {}",

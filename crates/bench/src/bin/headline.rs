@@ -18,7 +18,7 @@
 
 use dtn_analysis::churn::{ChurnPoint, ChurnTable};
 use dtn_sim::replay::manifest_for_run;
-use dtn_sim::sweep::{run_cells, run_sweep_observed, CellJob, SweepAxis, SweepOptions, SweepSpec};
+use dtn_sim::sweep::{run_cells, run_sweep_hardened, CellJob, SweepAxis, SweepOptions, SweepSpec};
 use dtn_telemetry::{JsonlSink, Recorder};
 use dtn_validate::ValidateConfig;
 
@@ -84,7 +84,7 @@ fn run_churn_table(seeds: Vec<u64>) {
         seeds,
         validate: true,
     };
-    let out = run_sweep_observed(&spec, 0, &|_| {});
+    let out = run_sweep_hardened(&spec, &SweepOptions::default());
     for err in &out.errors {
         eprintln!("{err}");
     }
@@ -170,13 +170,12 @@ fn main() {
             world.enable_validation(ValidateConfig::default());
         }
         let started = std::time::Instant::now();
-        let (r, validation, recorder) = if validate {
-            let (r, v, rec) = world.run_validated();
-            (r, Some(v), rec)
-        } else {
-            let (r, rec) = world.run_with_recorder();
-            (r, None, rec)
-        };
+        let dtn_sim::RunOutput {
+            report: r,
+            recorder,
+            validation,
+            ..
+        } = world.run();
         print!(
             "{:<16} ratio {:.3} overhead {:6.2} hops {:.2} drops {} rejects {}",
             policy.label(),

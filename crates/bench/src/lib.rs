@@ -178,7 +178,8 @@ impl Cli {
 pub fn run_checked(cfg: &ScenarioConfig) -> dtn_sim::Report {
     let mut world = dtn_sim::world::World::build(cfg);
     world.enable_validation(dtn_validate::ValidateConfig::default());
-    let (report, validation, _rec) = world.run_validated();
+    let out = world.run();
+    let validation = out.validation.expect("validation enabled");
     eprintln!(
         "[validate] {} seed {}: {}",
         cfg.name,
@@ -191,7 +192,7 @@ pub fn run_checked(cfg: &ScenarioConfig) -> dtn_sim::Report {
         }
         std::process::exit(1);
     }
-    report
+    out.report
 }
 
 /// One of the paper's three sweep groups, at full or `--quick` scale.

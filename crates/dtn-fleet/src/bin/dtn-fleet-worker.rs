@@ -6,7 +6,8 @@
 //! Flags:
 //!
 //! * `--connect HOST:PORT` — dial a `--listen`ing coordinator and
-//!   speak length-prefixed frames over the socket instead of stdio.
+//!   speak the protocol over the socket instead of stdio (the framing
+//!   is the same).
 //! * `--token SECRET` — shared-secret token for the TCP handshake.
 //! * `--connect-wait SECS` — how long to retry the initial dial
 //!   (default 10; workers often start before the coordinator).
@@ -69,7 +70,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "dtn-fleet-worker: sweep-cell executor driven by a dtn-fleet coordinator\n\
-                     (over stdin/stdout NDJSON, or a TCP socket with --connect)\n\n\
+                     (length-prefixed frames over stdin/stdout, or a TCP socket\n\
+                     with --connect)\n\n\
                      --connect HOST:PORT    dial a --listen'ing coordinator (TCP mode)\n\
                      --token SECRET         shared-secret token for the TCP handshake\n\
                      --connect-wait SECS    retry window for the dial (default 10)\n\

@@ -14,8 +14,8 @@
 //!   It only ever talks to [`transport::Transport`] /
 //!   [`transport::WorkerHandle`] trait objects.
 //! * [`subprocess`] is the first real backend: it spawns the thin
-//!   `dtn-fleet-worker` binary per worker slot and frames
-//!   [`protocol`] messages as newline-delimited JSON over the child's
+//!   `dtn-fleet-worker` binary per worker slot and carries
+//!   [`protocol`] messages as length-prefixed frames over the child's
 //!   stdin/stdout.
 //! * [`thread`] is an in-process backend running the same worker loop
 //!   on a plain thread — zero-setup fallback and the reference
@@ -60,4 +60,4 @@ pub use subprocess::{locate_worker, SubprocessTransport};
 pub use tcp::{connect_worker_main, parse_socket_addr, LocalTcpWorkers, TcpTransport};
 pub use thread::ThreadTransport;
 pub use transport::{Envelope, FleetError, Transport, WorkerHandle};
-pub use worker::{worker_main, FaultHook, Framing, WorkerConfig};
+pub use worker::{worker_main, FaultHook, WorkerConfig};

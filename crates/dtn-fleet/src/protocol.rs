@@ -1,16 +1,16 @@
 //! The coordinator/worker wire protocol.
 //!
 //! Messages are externally-tagged serde enums, one JSON value per
-//! frame. Two framings carry the same frames:
+//! frame. Every transport (subprocess stdio and TCP) uses the same
+//! length-prefixed framing: each frame is
+//! `<decimal byte length>\n<json>\n` (see [`write_frame`] /
+//! [`read_frame`]).
 //!
-//! * **NDJSON** (subprocess stdio): one JSON value per line. Unknown
-//!   lines are ignored by both sides so the protocol can grow fields
-//!   without flag-day upgrades.
-//! * **Length-prefixed NDJSON** (TCP): each frame is
-//!   `<decimal byte length>\n<json>\n`. See [`write_frame`] /
-//!   [`read_frame`]. Framing violations on a socket are treated as a
-//!   broken connection (worker loss), not skipped — a TCP peer that
-//!   cannot frame correctly cannot be trusted to resynchronise.
+//! * A well-framed message of an unknown kind is skipped by both sides,
+//!   so the protocol can grow message kinds without flag-day upgrades.
+//! * A framing violation is a broken stream (worker loss), not skipped:
+//!   a peer that cannot frame correctly cannot be trusted to
+//!   resynchronise.
 //!
 //! [`PROTOCOL_VERSION`] in the worker's `Hello` guards against
 //! genuinely incompatible pairings; the TCP transport additionally
@@ -147,14 +147,14 @@ pub enum WorkerMsg {
 }
 
 impl WorkerMsg {
-    /// One NDJSON frame (no trailing newline).
+    /// The JSON payload of one frame (a single line, no newline).
     pub fn to_line(&self) -> String {
         serde_json::to_string(self).expect("worker message serialises")
     }
 }
 
 impl CoordinatorMsg {
-    /// One NDJSON frame (no trailing newline).
+    /// The JSON payload of one frame (a single line, no newline).
     pub fn to_line(&self) -> String {
         serde_json::to_string(self).expect("coordinator message serialises")
     }
@@ -162,7 +162,7 @@ impl CoordinatorMsg {
 
 /// Write one length-prefixed frame: `<decimal len>\n<payload>\n`.
 ///
-/// The payload is the NDJSON line (no trailing newline); the length
+/// The payload is one JSON line (no trailing newline); the length
 /// counts payload bytes only. Flushes, so a frame is on the wire when
 /// this returns.
 pub fn write_frame<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
@@ -178,8 +178,8 @@ pub fn write_frame<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
 /// Returns `Ok(None)` on clean EOF at a frame boundary. Anything
 /// malformed — a non-numeric length, a length above [`MAX_FRAME_LEN`],
 /// truncation mid-frame, a missing `\n` terminator, or invalid UTF-8 —
-/// is an [`std::io::ErrorKind::InvalidData`] error: on a socket that
-/// means the connection is broken, not a line to skip.
+/// is an [`std::io::ErrorKind::InvalidData`] error: the stream is
+/// broken, not a line to skip.
 pub fn read_frame<R: BufRead>(r: &mut R) -> std::io::Result<Option<String>> {
     let mut header = String::new();
     if r.read_line(&mut header)? == 0 {

@@ -1,18 +1,18 @@
 //! The subprocess transport: one `dtn-fleet-worker` child process per
-//! worker slot, NDJSON over stdin/stdout.
+//! worker slot, length-prefixed frames over stdin/stdout (the same
+//! framing as TCP, see [`crate::protocol::write_frame`]).
 //!
 //! Each spawn attaches a reader thread that pumps the child's stdout
-//! lines into the coordinator inbox as [`Envelope::Msg`]s and delivers
-//! a final [`Envelope::Gone`] (with the exit code when reapable) at
-//! EOF. Stderr is inherited, so worker panic traces land in the
-//! operator's terminal/CI log. Unparseable stdout lines are dropped —
-//! a worker that prints stray output degrades to silence, and the
-//! heartbeat timeout handles genuinely wedged ones.
+//! frames into the coordinator inbox as [`Envelope::Msg`]s and delivers
+//! a final [`Envelope::Gone`] at EOF or on a framing violation (the
+//! coordinator then retries the in-flight cell elsewhere). A
+//! well-framed but unknown message is skipped. Stderr is inherited, so
+//! worker panic traces land in the operator's terminal/CI log.
 
 use crate::merge::shard_path;
-use crate::protocol::CoordinatorMsg;
+use crate::protocol::{read_frame, write_frame, CoordinatorMsg};
 use crate::transport::{Envelope, FleetError, Transport, WorkerHandle};
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::Sender;
@@ -126,20 +126,15 @@ impl Transport for SubprocessTransport {
         let pid = u64::from(child.id());
 
         // Reader pump: child stdout → coordinator inbox. Exits at EOF
-        // (child died or closed stdout) or when the coordinator drops
-        // its receiver.
+        // (child died or closed stdout), on a framing violation, or
+        // when the coordinator drops its receiver.
         std::thread::Builder::new()
             .name(format!("dtn-fleet-pump-{uid}"))
             .spawn(move || {
-                let reader = BufReader::new(stdout);
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let Ok(msg) = serde_json::from_str(line) else {
-                        continue; // stray output, not a protocol frame
+                let mut reader = BufReader::new(stdout);
+                while let Ok(Some(line)) = read_frame(&mut reader) {
+                    let Ok(msg) = serde_json::from_str(&line) else {
+                        continue; // well-framed but unknown: skip
                     };
                     if inbox.send((uid, Envelope::Msg(msg))).is_err() {
                         return; // coordinator gone
@@ -173,10 +168,7 @@ impl WorkerHandle for SubprocessWorker {
             .stdin
             .as_mut()
             .ok_or_else(|| FleetError::new("worker stdin already closed"))?;
-        let line = msg.to_line();
-        writeln!(stdin, "{line}")
-            .and_then(|()| stdin.flush())
-            .map_err(|e| FleetError::new(format!("worker pipe: {e}")))
+        write_frame(stdin, &msg.to_line()).map_err(|e| FleetError::new(format!("worker pipe: {e}")))
     }
 
     fn pid(&self) -> u64 {

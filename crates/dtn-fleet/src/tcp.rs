@@ -1,6 +1,6 @@
 //! The TCP transport: workers connect over the network instead of
-//! being forked, carrying the same protocol in length-prefixed NDJSON
-//! frames (see [`crate::protocol::write_frame`]).
+//! being forked, carrying the same protocol in the same length-prefixed
+//! frames as stdio (see [`crate::protocol::write_frame`]).
 //!
 //! Roles are inverted relative to the subprocess backend — the
 //! coordinator cannot *create* remote workers, it can only *accept*
@@ -486,12 +486,12 @@ impl Drop for LocalTcpWorkers {
 
 /// The worker-side connect loop: dials `addr` (retrying for
 /// `connect_wait` — workers often start before the coordinator), then
-/// runs [`crate::worker::worker_main`] over the socket with
-/// length-prefixed framing. With `reconnect`, a cleanly-shut-down
-/// session loops back to dialing so one worker process can serve the
-/// several sequential sweeps of a figure binary; the loop ends when no
-/// coordinator answers for a full `connect_wait` window (or on
-/// handshake rejection, which retrying cannot fix).
+/// runs [`crate::worker::worker_main`] over the socket. With
+/// `reconnect`, a cleanly-shut-down session loops back to dialing so
+/// one worker process can serve the several sequential sweeps of a
+/// figure binary; the loop ends when no coordinator answers for a full
+/// `connect_wait` window (or on handshake rejection, which retrying
+/// cannot fix).
 ///
 /// Returns the process exit code.
 pub fn connect_worker_main(
@@ -526,14 +526,7 @@ pub fn connect_worker_main(
         let Ok(writer) = stream.try_clone() else {
             return 1;
         };
-        let code = crate::worker::worker_main(
-            crate::worker::WorkerConfig {
-                framing: crate::worker::Framing::LengthPrefixed,
-                ..cfg.clone()
-            },
-            BufReader::new(stream),
-            writer,
-        );
+        let code = crate::worker::worker_main(cfg.clone(), BufReader::new(stream), writer);
         if code == 3 || !reconnect {
             return code; // rejected, or single-session mode
         }

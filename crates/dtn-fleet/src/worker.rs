@@ -19,19 +19,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How [`worker_main`] frames protocol messages on its byte streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Framing {
-    /// One JSON value per line (subprocess stdio). Garbled lines are
-    /// skipped — stdio noise (e.g. a stray print) must not kill the
-    /// worker.
-    #[default]
-    Ndjson,
-    /// `<len>\n<json>\n` frames (TCP). Framing violations end the
-    /// session: a socket that loses sync cannot be re-synchronised.
-    LengthPrefixed,
-}
-
 /// A deterministic fault hook for tests and CI: when the worker is
 /// assigned `config_hash` and `marker` does not exist yet, it creates
 /// the marker and misbehaves *once* (subsequent assignments of the same
@@ -82,8 +69,6 @@ pub struct WorkerConfig {
     /// Private shard checkpoint this worker streams finished cells to
     /// (crash insurance merged by the coordinator on resume).
     pub shard: Option<PathBuf>,
-    /// Message framing on the input/output streams.
-    pub framing: Framing,
     /// Shared-secret token carried in the `Hello` (TCP fleets).
     pub token: Option<String>,
     /// Test hook: exit with code 17 instead of running the cell.
@@ -97,7 +82,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             heartbeat_secs: 0.5,
             shard: None,
-            framing: Framing::Ndjson,
             token: None,
             fail_once: None,
             hang_once: None,
@@ -126,7 +110,7 @@ pub fn run_assignment(
         }
     };
     let started = std::time::Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| execute_job(&cfg, validate))) {
+    match catch_unwind(AssertUnwindSafe(|| execute_job(&cfg, validate, 1))) {
         Ok((metrics, fingerprint, violations)) => WorkerMsg::Done {
             run: CellRun {
                 index,
@@ -146,37 +130,13 @@ pub fn run_assignment(
     }
 }
 
-/// Writes one protocol frame under the given framing, flushing so it
-/// is on the wire when this returns.
-fn write_msg(w: &mut impl Write, framing: Framing, line: &str) -> std::io::Result<()> {
-    match framing {
-        Framing::Ndjson => writeln!(w, "{line}").and_then(|()| w.flush()),
-        Framing::LengthPrefixed => write_frame(w, line),
-    }
-}
-
-/// Pulls the next inbound frame. `Ok(None)` means the session is over
-/// (EOF, or an unrecoverable framing error on a length-prefixed
-/// stream); NDJSON read errors also end the session.
-fn next_msg(r: &mut impl BufRead, framing: Framing) -> Option<String> {
-    match framing {
-        Framing::Ndjson => {
-            let mut line = String::new();
-            match r.read_line(&mut line) {
-                Ok(0) | Err(_) => None,
-                Ok(_) => Some(line.trim().to_string()),
-            }
-        }
-        Framing::LengthPrefixed => read_frame(r).ok().flatten(),
-    }
-}
-
 /// The worker main loop: `Hello`, then heartbeats from a side thread
 /// while assignments stream in on `input` and replies stream out on
-/// `output`. Returns the process exit code: 0 on clean shutdown/EOF,
-/// 1 when the coordinator became unreachable, 3 when the handshake was
-/// rejected ([`CoordinatorMsg::Reject`]), 17 on the `fail_once` test
-/// hook.
+/// `output`, every message one length-prefixed frame ([`write_frame`])
+/// on stdio and TCP alike. Returns the process exit code: 0 on clean
+/// shutdown, EOF or a framing violation, 1 when the coordinator became
+/// unreachable, 3 when the handshake was rejected
+/// ([`CoordinatorMsg::Reject`]), 17 on the `fail_once` test hook.
 ///
 /// Since protocol v2 assignments reference configs by hash; bodies
 /// arrive in `Config` frames and are cached until the referencing cell
@@ -192,11 +152,10 @@ pub fn worker_main(
     mut input: impl BufRead,
     output: impl Write + Send + 'static,
 ) -> i32 {
-    let framing = cfg.framing;
     let out = Arc::new(Mutex::new(output));
     let emit = |msg: &WorkerMsg| -> bool {
         let mut guard = out.lock();
-        write_msg(&mut *guard, framing, &msg.to_line()).is_ok()
+        write_frame(&mut *guard, &msg.to_line()).is_ok()
     };
 
     if !emit(&WorkerMsg::Hello {
@@ -223,7 +182,7 @@ pub fn worker_main(
                 busy: busy.load(Ordering::Relaxed),
             };
             let mut guard = out.lock();
-            if write_msg(&mut *guard, framing, &msg.to_line()).is_err() {
+            if write_frame(&mut *guard, &msg.to_line()).is_err() {
                 break; // coordinator gone; the main loop will see EOF too
             }
         }))
@@ -246,14 +205,11 @@ pub fn worker_main(
     let mut configs: HashMap<String, String> = HashMap::new();
 
     let mut code = 0;
-    while let Some(line) = next_msg(&mut input, framing) {
-        if line.is_empty() {
-            continue;
-        }
-        // Unknown/garbled frames are skipped, not fatal: a newer
-        // coordinator may speak additional message kinds. (On TCP,
-        // *framing* violations are fatal — handled in `next_msg` —
-        // but a well-framed unknown message is still skipped.)
+    // EOF and framing violations both end the session: a stream that
+    // loses frame sync cannot be re-synchronised.
+    while let Ok(Some(line)) = read_frame(&mut input) {
+        // A well-framed but unknown message is skipped, not fatal: a
+        // newer coordinator may speak additional message kinds.
         let Ok(msg) = serde_json::from_str::<CoordinatorMsg>(&line) else {
             continue;
         };
@@ -359,7 +315,7 @@ mod tests {
     fn run_assignment_matches_in_process_execution() {
         let (config, hash) = smoke_assignment();
         let cfg: ScenarioConfig = serde_json::from_str(&config).expect("parse");
-        let (metrics, fingerprint, violations) = execute_job(&cfg, false);
+        let (metrics, fingerprint, violations) = execute_job(&cfg, false, 1);
         match run_assignment(4, cfg.seed, &hash, &config, false) {
             WorkerMsg::Done { run } => {
                 assert_eq!(run.index, 4);
@@ -404,6 +360,35 @@ mod tests {
         }
     }
 
+    /// `frames`, each written as one length-prefixed frame.
+    fn framed(frames: &[String]) -> Vec<u8> {
+        let mut input = Vec::new();
+        for frame in frames {
+            write_frame(&mut input, frame).unwrap();
+        }
+        input
+    }
+
+    /// Runs [`worker_main`] (no heartbeat) over `input` and returns its
+    /// exit code and the decoded reply frames.
+    fn serve(cfg: WorkerConfig, input: &[u8]) -> (i32, Vec<WorkerMsg>) {
+        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        let code = worker_main(
+            WorkerConfig {
+                heartbeat_secs: 0.0,
+                ..cfg
+            },
+            std::io::BufReader::new(input),
+            SharedSink(Arc::clone(&out)),
+        );
+        let mut r = std::io::Cursor::new(out.lock().clone());
+        let mut msgs = Vec::new();
+        while let Some(line) = read_frame(&mut r).expect("well-framed output") {
+            msgs.push(serde_json::from_str(&line).expect("worker frame parses"));
+        }
+        (code, msgs)
+    }
+
     #[test]
     fn worker_loop_answers_assignments_over_buffers() {
         let (config, hash) = smoke_assignment();
@@ -411,34 +396,23 @@ mod tests {
             config_hash: hash.clone(),
             config,
         };
-        let input = format!(
-            "{}\nnot a protocol line\n{}\n{}\n",
-            push.to_line(),
-            assign(0, &hash).to_line(),
-            CoordinatorMsg::Shutdown.to_line()
-        );
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let code = worker_main(
+        let (code, msgs) = serve(
             WorkerConfig {
-                heartbeat_secs: 0.0,
+                token: Some("sesame".into()),
                 ..WorkerConfig::default()
             },
-            std::io::BufReader::new(input.as_bytes()),
-            SharedSink(Arc::clone(&out)),
+            &framed(&[
+                push.to_line(),
+                "not a protocol message".into(),
+                assign(0, &hash).to_line(),
+                CoordinatorMsg::Shutdown.to_line(),
+            ]),
         );
         assert_eq!(code, 0);
-        let body = String::from_utf8(out.lock().clone()).expect("utf8");
-        let msgs: Vec<WorkerMsg> = body
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("worker frame parses"))
-            .collect();
-        assert!(matches!(
-            msgs[0],
-            WorkerMsg::Hello {
-                protocol: PROTOCOL_VERSION,
-                ..
-            }
-        ));
+        assert!(
+            matches!(&msgs[0], WorkerMsg::Hello { protocol: PROTOCOL_VERSION, token: Some(t), .. } if t == "sesame"),
+            "Hello carries the version and auth token"
+        );
         assert!(matches!(&msgs[1], WorkerMsg::Started { config_hash, .. } if *config_hash == hash));
         assert!(matches!(&msgs[2], WorkerMsg::Done { run } if run.config_hash == hash));
     }
@@ -452,28 +426,16 @@ mod tests {
             config_hash: hash.clone(),
             config,
         };
-        let input = format!(
-            "{}\n{}\n{}\n{}\n",
-            assign(2, &hash).to_line(),
-            push.to_line(),
-            assign(2, &hash).to_line(),
-            CoordinatorMsg::Shutdown.to_line()
-        );
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let code = worker_main(
-            WorkerConfig {
-                heartbeat_secs: 0.0,
-                ..WorkerConfig::default()
-            },
-            std::io::BufReader::new(input.as_bytes()),
-            SharedSink(Arc::clone(&out)),
+        let (code, msgs) = serve(
+            WorkerConfig::default(),
+            &framed(&[
+                assign(2, &hash).to_line(),
+                push.to_line(),
+                assign(2, &hash).to_line(),
+                CoordinatorMsg::Shutdown.to_line(),
+            ]),
         );
         assert_eq!(code, 0);
-        let body = String::from_utf8(out.lock().clone()).expect("utf8");
-        let msgs: Vec<WorkerMsg> = body
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("worker frame parses"))
-            .collect();
         assert!(
             matches!(&msgs[1], WorkerMsg::ConfigMissing { index: 2, config_hash } if *config_hash == hash)
         );
@@ -483,65 +445,27 @@ mod tests {
 
     #[test]
     fn reject_frame_exits_with_code_3() {
-        let input = format!(
-            "{}\n",
-            CoordinatorMsg::Reject {
-                reason: "version mismatch".into()
-            }
-            .to_line()
-        );
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let code = worker_main(
-            WorkerConfig {
-                heartbeat_secs: 0.0,
-                ..WorkerConfig::default()
-            },
-            std::io::BufReader::new(input.as_bytes()),
-            SharedSink(Arc::clone(&out)),
-        );
+        let reject = CoordinatorMsg::Reject {
+            reason: "version mismatch".into(),
+        };
+        let (code, _) = serve(WorkerConfig::default(), &framed(&[reject.to_line()]));
         assert_eq!(code, 3);
     }
 
     #[test]
-    fn length_prefixed_framing_round_trips_a_cell() {
-        use crate::protocol::{read_frame, write_frame};
+    fn framing_violation_ends_the_session() {
         let (config, hash) = smoke_assignment();
-        let mut input = Vec::new();
-        write_frame(
-            &mut input,
-            &CoordinatorMsg::Config {
-                config_hash: hash.clone(),
-                config,
-            }
-            .to_line(),
-        )
-        .unwrap();
-        write_frame(&mut input, &assign(1, &hash).to_line()).unwrap();
-        write_frame(&mut input, &CoordinatorMsg::Shutdown.to_line()).unwrap();
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let code = worker_main(
-            WorkerConfig {
-                heartbeat_secs: 0.0,
-                framing: Framing::LengthPrefixed,
-                token: Some("sesame".into()),
-                ..WorkerConfig::default()
-            },
-            std::io::BufReader::new(&input[..]),
-            SharedSink(Arc::clone(&out)),
-        );
+        let push = CoordinatorMsg::Config {
+            config_hash: hash.clone(),
+            config,
+        };
+        let mut input = framed(&[push.to_line()]);
+        // A bare NDJSON line is not a frame: nothing after it is read.
+        input.extend_from_slice(format!("{}\n", assign(0, &hash).to_line()).as_bytes());
+        input.extend(framed(&[assign(1, &hash).to_line()]));
+        let (code, msgs) = serve(WorkerConfig::default(), &input);
         assert_eq!(code, 0);
-        let bytes = out.lock().clone();
-        let mut r = std::io::Cursor::new(bytes);
-        let mut msgs = Vec::new();
-        while let Some(line) = read_frame(&mut r).expect("well-framed output") {
-            msgs.push(serde_json::from_str::<WorkerMsg>(&line).expect("frame parses"));
-        }
-        assert!(
-            matches!(&msgs[0], WorkerMsg::Hello { token: Some(t), .. } if t == "sesame"),
-            "TCP Hello carries the auth token"
-        );
-        assert!(matches!(&msgs[1], WorkerMsg::Started { index: 1, .. }));
-        assert!(matches!(&msgs[2], WorkerMsg::Done { run } if run.config_hash == hash));
+        assert_eq!(msgs.len(), 1, "only the Hello, no cell ran: {msgs:?}");
     }
 
     #[test]

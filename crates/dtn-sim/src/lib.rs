@@ -44,9 +44,8 @@ pub mod replay;
 pub mod report;
 pub mod scenario_gen;
 pub mod sweep;
-pub mod timeseries;
 pub mod world;
 
 pub use config::{PolicyKind, RoutingKind, ScenarioConfig};
 pub use report::Report;
-pub use world::World;
+pub use world::{RunOutput, World};

@@ -61,7 +61,7 @@ impl Metric {
 
 impl SeriesTable {
     /// Builds a table from sweep cells (which arrive axis-major, policy
-    /// within axis — the order `run_sweep` produces).
+    /// within axis — the order `run_sweep_hardened` produces).
     pub fn from_cells(title: &str, xlabel: &str, cells: &[SweepCell], metric: Metric) -> Self {
         let mut x: Vec<String> = Vec::new();
         let mut rows: Vec<(String, Vec<f64>)> = Vec::new();

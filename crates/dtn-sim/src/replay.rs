@@ -12,7 +12,7 @@
 
 use crate::config::{PolicyKind, ScenarioConfig};
 use crate::report::Report;
-use crate::sweep::{run_sweep, SweepSpec};
+use crate::sweep::{execute_job, run_sweep_hardened, SweepCell, SweepOptions, SweepSpec};
 use crate::world::World;
 use dtn_telemetry::{hash_config_json, EventTotals, Recorder, RunManifest};
 use dtn_validate::{ReportFingerprint, ValidateConfig};
@@ -176,13 +176,28 @@ pub fn replay_manifest(original: &RunManifest) -> Result<ReplayOutcome, ReplayEr
 /// returns one line per differing cell — empty when the sweep is
 /// thread-count invariant, as it must be (runs are independent and
 /// deterministic; threading only schedules them).
+///
+/// # Panics
+/// Panics if any cell of either sweep panicked.
 pub fn differential_thread_counts(
     spec: &SweepSpec,
     threads_a: usize,
     threads_b: usize,
 ) -> Vec<String> {
-    let a = run_sweep(spec, threads_a);
-    let b = run_sweep(spec, threads_b);
+    let cells = |threads: usize| -> Vec<SweepCell> {
+        let out = run_sweep_hardened(
+            spec,
+            &SweepOptions {
+                threads,
+                ..SweepOptions::default()
+            },
+        );
+        if let Some(err) = out.errors.first() {
+            panic!("sweep cell panicked: {err}");
+        }
+        out.cells
+    };
+    let (a, b) = (cells(threads_a), cells(threads_b));
     let mut out = Vec::new();
     if a.len() != b.len() {
         out.push(format!(
@@ -207,16 +222,13 @@ pub fn differential_thread_counts(
 }
 
 /// Runs `cfg` once with `world_threads` intra-run worker threads and
-/// returns the run's integer fingerprint. The building block of the
+/// returns the run's integer fingerprint — the sweep executor's cell
+/// ([`execute_job`]) without validation. The building block of the
 /// thread-count differential battery: the parallel phases reduce in
 /// stable node/band order, so the fingerprint must be bit-identical at
 /// any thread count.
 pub fn fingerprint_at_threads(cfg: &ScenarioConfig, world_threads: usize) -> ReportFingerprint {
-    let mut world = World::build(cfg);
-    world.set_threads(world_threads);
-    world.attach_recorder(Recorder::enabled(16));
-    let (report, recorder) = world.run_with_recorder();
-    fingerprint(&report, recorder.totals())
+    execute_job(cfg, false, world_threads).1
 }
 
 /// Runs `cfg` once per entry of `thread_counts` and cross-checks every

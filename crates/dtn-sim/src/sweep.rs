@@ -662,14 +662,14 @@ pub struct SweepOutput {
     pub checkpoint_error: Option<CheckpointError>,
 }
 
-/// Runs the sweep on `threads` worker threads (pass 0 to use the
-/// available parallelism). Returns one cell per `(axis point, policy)`,
-/// ordered axis-major then policy.
-///
-/// This is the *strict* legacy entry point: any panicking run aborts
-/// the whole sweep (differential harnesses and golden tests rely on
-/// all-or-nothing results). Use [`run_sweep_observed`] or
-/// [`run_sweep_hardened`] for fault-tolerant behaviour.
+/// Runs the sweep on `opts.threads` worker threads (0 uses the
+/// available parallelism) and returns one cell per `(axis point,
+/// policy)`, axis-major then policy. Every run executes under
+/// `catch_unwind`: a panicking cell becomes a [`CellError`] in
+/// [`SweepOutput::errors`] and all other cells are still returned, so
+/// callers that need all-or-nothing results check `errors.is_empty()`.
+/// Per-cell validation ([`SweepSpec::validate`] or
+/// [`SweepOptions::validate`]) and checkpoint/resume are optional.
 ///
 /// # Example
 ///
@@ -679,7 +679,7 @@ pub struct SweepOutput {
 ///
 /// ```
 /// use dtn_sim::config::{presets, PolicyKind};
-/// use dtn_sim::sweep::{run_sweep, SweepAxis, SweepSpec};
+/// use dtn_sim::sweep::{run_sweep_hardened, SweepAxis, SweepOptions, SweepSpec};
 ///
 /// let mut base = presets::smoke();
 /// base.n_nodes = 8;
@@ -691,44 +691,15 @@ pub struct SweepOutput {
 ///     seeds: vec![1],
 ///     validate: false,
 /// };
-/// let cells = run_sweep(&spec, 1);
-/// assert_eq!(cells.len(), 4); // 2 axis points x 2 policies
-/// assert!(cells
+/// let opts = SweepOptions { threads: 1, ..SweepOptions::default() };
+/// let out = run_sweep_hardened(&spec, &opts);
+/// assert!(out.errors.is_empty());
+/// assert_eq!(out.cells.len(), 4); // 2 axis points x 2 policies
+/// assert!(out
+///     .cells
 ///     .iter()
 ///     .all(|c| (0.0..=1.0).contains(&c.delivery_ratio)));
 /// ```
-pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Vec<SweepCell> {
-    let out = run_sweep_observed(spec, threads, &|_| {});
-    if let Some(err) = out.errors.first() {
-        panic!("sweep worker panicked: {err}");
-    }
-    out.cells
-}
-
-/// [`run_sweep`] hardened: every run executes under `catch_unwind`, a
-/// panicking cell becomes a [`CellError`] in the output, every run
-/// carries a counting-only recorder whose event totals are folded into
-/// the returned [`SweepOutput`], and `observe` is called (from worker
-/// threads) after each finished run.
-pub fn run_sweep_observed(
-    spec: &SweepSpec,
-    threads: usize,
-    observe: &(dyn Fn(SweepProgress) + Sync),
-) -> SweepOutput {
-    run_sweep_hardened(
-        spec,
-        &SweepOptions {
-            threads,
-            validate: spec.validate,
-            progress: Some(observe),
-            ..SweepOptions::default()
-        },
-    )
-}
-
-/// The fully-hardened sweep runner: panic isolation, optional
-/// per-cell validation ([`SweepSpec::validate`] or
-/// [`SweepOptions::validate`]) and optional checkpoint/resume.
 pub fn run_sweep_hardened(spec: &SweepSpec, opts: &SweepOptions<'_>) -> SweepOutput {
     let jobs = materialize_jobs(spec);
     let out = run_cells(
@@ -926,7 +897,7 @@ pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
                 // jobs). The captured state is only read on success.
                 let started = std::time::Instant::now();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    execute_job_with(&job.cfg, opts.validate, opts.world_threads)
+                    execute_job(&job.cfg, opts.validate, opts.world_threads)
                 }));
                 let slot = match outcome {
                     Ok((metrics, fingerprint, violations)) => {
@@ -1032,37 +1003,25 @@ pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
 /// Builds and runs one world — the single shard-able unit of work every
 /// runner (in-process threads, `dtn-fleet` workers) executes. Returns
 /// the aggregation inputs, the run's integer fingerprint, and the
-/// invariant-violation count.
-pub fn execute_job(cfg: &ScenarioConfig, validate: bool) -> (CellMetrics, ReportFingerprint, u64) {
-    execute_job_with(cfg, validate, 1)
-}
-
-/// [`execute_job`] with an explicit intra-run world thread count (the
-/// parallel tick phases). Results are bit-identical at any
-/// `world_threads` — the knob only trades wall-clock for cores.
-pub fn execute_job_with(
+/// invariant-violation count. Results are bit-identical at any
+/// `world_threads` (the parallel tick phases); the knob only trades
+/// wall-clock for cores.
+pub fn execute_job(
     cfg: &ScenarioConfig,
     validate: bool,
     world_threads: usize,
 ) -> (CellMetrics, ReportFingerprint, u64) {
     let mut world = World::build(cfg);
-    world.set_threads(world_threads.max(1));
+    world.set_threads(world_threads);
     // Counting-only telemetry: no ring, no sink.
     world.attach_recorder(Recorder::enabled(0));
     if validate {
         world.enable_validation(dtn_validate::ValidateConfig::default());
-        let (report, validation, recorder) = world.run_validated();
-        let fp = crate::replay::fingerprint(&report, recorder.totals());
-        (
-            CellMetrics::from_report(&report),
-            fp,
-            validation.violation_count,
-        )
-    } else {
-        let (report, recorder) = world.run_with_recorder();
-        let fp = crate::replay::fingerprint(&report, recorder.totals());
-        (CellMetrics::from_report(&report), fp, 0)
     }
+    let out = world.run();
+    let fp = crate::replay::fingerprint(&out.report, out.recorder.totals());
+    let violations = out.validation.map_or(0, |v| v.violation_count);
+    (CellMetrics::from_report(&out.report), fp, violations)
 }
 
 /// Stringifies a panic payload (the two standard payload types, then a
@@ -1126,6 +1085,16 @@ mod tests {
         }
     }
 
+    fn sweep(spec: &SweepSpec, threads: usize) -> SweepOutput {
+        run_sweep_hardened(
+            spec,
+            &SweepOptions {
+                threads,
+                ..SweepOptions::default()
+            },
+        )
+    }
+
     #[test]
     fn axis_accessors() {
         let a = SweepAxis::paper_copies();
@@ -1157,7 +1126,9 @@ mod tests {
     #[test]
     fn sweep_runs_and_aggregates() {
         let spec = quick_spec();
-        let cells = run_sweep(&spec, 4);
+        let out = sweep(&spec, 4);
+        assert!(out.errors.is_empty());
+        let cells = out.cells;
         assert_eq!(cells.len(), 2 * 2);
         for c in &cells {
             assert_eq!(c.runs, 2);
@@ -1175,8 +1146,9 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_across_thread_counts() {
         let spec = quick_spec();
-        let a = run_sweep(&spec, 1);
-        let b = run_sweep(&spec, 8);
+        let a = sweep(&spec, 1);
+        let b = sweep(&spec, 8);
+        assert!(a.errors.is_empty());
         assert_eq!(a, b);
     }
 
@@ -1186,13 +1158,21 @@ mod tests {
         let spec = quick_spec();
         let seen = AtomicUsize::new(0);
         let max_completed = AtomicUsize::new(0);
-        let out = run_sweep_observed(&spec, 2, &|p: SweepProgress| {
+        let progress = |p: SweepProgress| {
             seen.fetch_add(1, Ordering::Relaxed);
             max_completed.fetch_max(p.completed, Ordering::Relaxed);
             assert_eq!(p.total, 8); // 2 axis points x 2 policies x 2 seeds
             assert!(!p.axis_label.is_empty());
             assert!(!p.policy.is_empty());
-        });
+        };
+        let out = run_sweep_hardened(
+            &spec,
+            &SweepOptions {
+                threads: 2,
+                progress: Some(&progress),
+                ..SweepOptions::default()
+            },
+        );
         assert_eq!(out.cells.len(), 4);
         assert_eq!(seen.load(Ordering::Relaxed), 8);
         assert_eq!(max_completed.load(Ordering::Relaxed), 8);
@@ -1215,8 +1195,8 @@ mod tests {
         let mut poisoned = clean.clone();
         poisoned.axis = SweepAxis::InitialCopies(vec![8, 16, 0]);
 
-        let good = run_sweep_observed(&clean, 2, &|_| {});
-        let out = run_sweep_observed(&poisoned, 2, &|_| {});
+        let good = sweep(&clean, 2);
+        let out = sweep(&poisoned, 2);
 
         // Both seeds of both policies at the poisoned point failed,
         // as structured errors carrying the panic payload.
@@ -1241,18 +1221,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep worker panicked")]
-    fn strict_run_sweep_still_aborts_on_cell_panic() {
-        let mut spec = quick_spec();
-        spec.axis = SweepAxis::InitialCopies(vec![8, 0]);
-        let _ = run_sweep(&spec, 2);
-    }
-
-    #[test]
     fn validated_sweep_counts_violations() {
         let mut spec = quick_spec();
         spec.validate = true;
-        let out = run_sweep_observed(&spec, 2, &|_| {});
+        let out = sweep(&spec, 2);
         assert!(out.errors.is_empty());
         // A healthy simulator has zero violations; the count is folded
         // into every cell either way.
@@ -1266,7 +1238,7 @@ mod tests {
     fn empty_policies_rejected() {
         let mut spec = quick_spec();
         spec.policies.clear();
-        let _ = run_sweep(&spec, 1);
+        let _ = sweep(&spec, 1);
     }
 
     #[test]
@@ -1292,7 +1264,7 @@ mod tests {
         assert!(err.to_string().contains("uncheckpointed"));
         // The degraded sweep still produced the same results as a
         // checkpoint-free run.
-        let clean = run_sweep_observed(&spec, 2, &|_| {});
+        let clean = sweep(&spec, 2);
         assert_eq!(out.cells, clean.cells);
     }
 
@@ -1323,13 +1295,13 @@ mod tests {
     #[test]
     fn cell_runs_record_wall_clock_durations() {
         let spec = quick_spec();
-        let out = run_sweep_observed(&spec, 2, &|_| {});
+        let out = sweep(&spec, 2);
         for run in out.runs.iter().flatten() {
             assert!(run.duration_secs > 0.0, "duration recorded");
         }
         // Durations are observational: two runs of the same cell are
         // equal even though their wall clocks differ.
-        let again = run_sweep_observed(&spec, 1, &|_| {});
+        let again = sweep(&spec, 1);
         assert_eq!(out.runs, again.runs);
         // ...and survive a JSON round trip (serde default tolerates
         // pre-duration checkpoints).
@@ -1372,10 +1344,11 @@ mod tests {
         assert_eq!(jobs[1].cfg.seed, 2);
         assert_eq!(jobs[2].policy, "SDSRP");
         assert_eq!(jobs[4].label, "16");
-        // Aggregating a run_cells output reproduces run_sweep exactly.
+        // Aggregating a run_cells output reproduces run_sweep_hardened
+        // exactly.
         let out = run_cells(jobs, &SweepOptions::default());
         let agg = aggregate_sweep(&spec, out);
-        let direct = run_sweep_observed(&spec, 2, &|_| {});
+        let direct = sweep(&spec, 2);
         assert_eq!(agg.cells, direct.cells);
         assert_eq!(agg.runs, direct.runs);
         assert_eq!(agg.totals, direct.totals);
@@ -1443,9 +1416,10 @@ mod tests {
             seeds: vec![7],
             validate: false,
         };
-        let cells = run_sweep(&spec, 2);
-        assert_eq!(cells.len(), 2);
-        assert!(cells.iter().all(|c| c.runs == 1));
+        let out = sweep(&spec, 2);
+        assert!(out.errors.is_empty());
+        assert_eq!(out.cells.len(), 2);
+        assert!(out.cells.iter().all(|c| c.runs == 1));
     }
 
     #[test]
@@ -1512,7 +1486,7 @@ mod tests {
         spec.base.faults.blackout_secs = 30.0;
         spec.axis = SweepAxis::CrashRate(vec![0.0, 2.0, 6.0]);
         spec.validate = true;
-        let out = run_sweep_observed(&spec, 4, &|_| {});
+        let out = sweep(&spec, 4);
         assert!(out.errors.is_empty(), "{:?}", out.errors);
         assert_eq!(out.violations, 0, "churn broke an invariant");
         assert_eq!(out.cells.len(), 3 * 2);

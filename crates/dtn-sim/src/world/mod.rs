@@ -82,6 +82,20 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, HashSet};
 
+/// Everything a finished [`World::run`] hands back.
+pub struct RunOutput {
+    /// The paper's metrics and their supporting counters.
+    pub report: Report,
+    /// The attached recorder, sink flushed: event totals, ring, metrics
+    /// and any sampled time series.
+    pub recorder: Recorder,
+    /// `Some` exactly when [`World::enable_validation`] was called.
+    pub validation: Option<ValidationReport>,
+    /// `Some` exactly when [`World::enable_contact_recording`] was
+    /// called; contacts still open at the end are closed there.
+    pub contacts: Option<ContactTrace>,
+}
+
 /// World events.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum WorldEvent {
@@ -453,8 +467,8 @@ impl World {
     }
 
     /// Runs a final validation sweep and takes the accumulated report.
-    /// For worlds driven via [`step_until`](Self::step_until); the
-    /// consuming run methods finalize automatically.
+    /// For worlds driven via [`step_until`](Self::step_until);
+    /// [`run`](Self::run) returns it as [`RunOutput::validation`].
     pub fn take_validation_report(&mut self) -> Option<ValidationReport> {
         self.finalize_validation();
         self.validator.as_mut().map(|v| v.take_report())
@@ -484,76 +498,26 @@ impl World {
         &self.recorder
     }
 
-    /// Runs to completion, returning the report plus the recorder with
-    /// its accumulated totals, event ring, metrics and any sampled time
-    /// series. The recorder's sink is flushed.
-    pub fn run_with_recorder(mut self) -> (Report, Recorder) {
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        self.recorder.flush();
-        (self.report, self.recorder)
-    }
-
-    /// Runs to completion with validation enabled (enabling it with
-    /// defaults if needed), returning the report, the validation
-    /// report, and the recorder.
-    pub fn run_validated(mut self) -> (Report, ValidationReport, Recorder) {
-        if self.validator.is_none() {
-            self.enable_validation(ValidateConfig::default());
-        }
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        self.recorder.flush();
-        let validation = self
-            .validator
-            .as_mut()
-            .expect("enabled above")
-            .take_report();
-        (self.report, validation, self.recorder)
-    }
-
     /// Samples occupancy/contact/message time series every
     /// `sample_every` simulated seconds. Call before [`run`](Self::run);
-    /// retrieve with [`run_with_timeseries`](Self::run_with_timeseries).
+    /// the series comes back inside [`RunOutput::recorder`]
+    /// ([`Recorder::take_timeseries`]).
     pub fn enable_timeseries(&mut self, sample_every: f64) {
         self.recorder.enable_timeseries(sample_every);
     }
 
-    /// Runs to completion, returning the report plus the sampled time
-    /// series (enabling it if necessary).
-    pub fn run_with_timeseries(mut self) -> (Report, crate::timeseries::TimeSeries) {
-        if !self.recorder.has_timeseries() {
-            self.enable_timeseries(self.cfg.tick_secs.max(1.0) * 10.0);
-        }
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        self.recorder.flush();
-        let ts = self.recorder.take_timeseries().expect("enabled above");
-        (self.report, ts)
-    }
-
     /// Records closed contact intervals for intermeeting analysis
-    /// (Fig. 3). Call before [`run`](Self::run).
+    /// (Fig. 3), returned as [`RunOutput::contacts`]. Call before
+    /// [`run`](Self::run).
     pub fn enable_contact_recording(&mut self) {
         self.contact_trace = Some(ContactTrace::new());
     }
 
     /// Advances the simulation to `until` (capped at the scenario
-    /// duration), returning the number of events processed. Interleave
-    /// with the inspection accessors to watch a run evolve;
-    /// [`run`](Self::run) remains the one-shot alternative.
+    /// duration), returning the number of events processed. The
+    /// simulator's one event loop: [`run`](Self::run) is this to the
+    /// scenario end plus the end-of-run bookkeeping. Interleave with
+    /// the inspection accessors to watch a run evolve.
     pub fn step_until(&mut self, until: SimTime) -> u64 {
         let end = until.min(SimTime::from_secs(self.cfg.duration_secs));
         let mut processed = 0;
@@ -581,47 +545,34 @@ impl World {
         self.links.len()
     }
 
-    /// Runs the scenario to completion and returns the report.
-    pub fn run(mut self) -> Report {
+    /// Runs the scenario to completion: steps to the end, runs the
+    /// final validation sweep, closes open contacts into the contact
+    /// trace and flushes the recorder's sink.
+    pub fn run(mut self) -> RunOutput {
         let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        // Close open contacts so the contact trace is complete.
-        if self.contact_trace.is_some() {
+        self.step_until(end);
+        let validation = self.take_validation_report();
+        let contacts = self.contact_trace.take().map(|mut trace| {
             let mut events = Vec::new();
             self.tracker.close_all(end, &mut events);
-            if let Some(trace) = self.contact_trace.as_mut() {
-                for ev in events {
-                    trace.record(ev);
-                }
+            for ev in events {
+                trace.record(ev);
             }
+            trace
+        });
+        self.recorder.flush();
+        RunOutput {
+            report: self.report,
+            recorder: self.recorder,
+            validation,
+            contacts,
         }
-        self.report
     }
 
-    /// Runs to completion but also returns the recorded contact trace
-    /// (empty unless [`enable_contact_recording`](Self::enable_contact_recording)
-    /// was called).
-    pub fn run_with_trace(mut self) -> (Report, ContactTrace) {
-        if self.contact_trace.is_none() {
-            self.enable_contact_recording();
-        }
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        let mut events = Vec::new();
-        self.tracker.close_all(end, &mut events);
-        let mut trace = self.contact_trace.take().expect("enabled above");
-        for ev in events {
-            trace.record(ev);
-        }
-        (self.report, trace)
+    /// [`run`](Self::run), keeping only the report and the recorder.
+    pub fn run_with_recorder(self) -> (Report, Recorder) {
+        let out = self.run();
+        (out.report, out.recorder)
     }
 
     fn handle(&mut self, ev: WorldEvent) {

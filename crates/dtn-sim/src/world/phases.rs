@@ -19,6 +19,7 @@
 //! bit-identical at any thread count.
 
 use super::*;
+use dtn_telemetry::TimePoint;
 
 impl World {
     pub(super) fn on_tick(&mut self) {
@@ -153,7 +154,7 @@ impl World {
     }
 
     /// Computes one time-series sample from the current state.
-    fn sample_timepoint(&self) -> crate::timeseries::TimePoint {
+    fn sample_timepoint(&self) -> TimePoint {
         let mut occ_sum = 0.0;
         let mut occ_max = 0.0f64;
         let mut total_copies = 0usize;
@@ -165,7 +166,7 @@ impl World {
             total_copies += node.buffer.len();
             live.extend(node.buffer.keys().copied());
         }
-        crate::timeseries::TimePoint {
+        TimePoint {
             t: self.now.as_secs(),
             mean_occupancy: occ_sum / self.nodes.len() as f64,
             max_occupancy: occ_max,

@@ -34,7 +34,7 @@ fn tiny_two_node(policy: PolicyKind) -> ScenarioConfig {
 
 #[test]
 fn two_nodes_in_range_deliver_everything() {
-    let report = World::build(&tiny_two_node(PolicyKind::Fifo)).run();
+    let report = World::build(&tiny_two_node(PolicyKind::Fifo)).run().report;
     assert!(report.created() >= 5, "created {}", report.created());
     // Source and destination are drawn from {0, 1}: every message's
     // destination is the other node and is permanently in range. A
@@ -55,7 +55,7 @@ fn out_of_range_nodes_never_deliver() {
     cfg.mobility = MobilityConfig::Stationary {
         positions: vec![(0.0, 0.0), (5000.0, 0.0)],
     };
-    let report = World::build(&cfg).run();
+    let report = World::build(&cfg).run().report;
     assert!(report.created() > 0);
     assert_eq!(report.delivered(), 0);
     assert_eq!(report.transmissions(), 0);
@@ -65,7 +65,7 @@ fn out_of_range_nodes_never_deliver() {
 fn delivery_ratio_reasonable_on_smoke_scenario() {
     let mut cfg = presets::smoke();
     cfg.policy = PolicyKind::Sdsrp;
-    let report = World::build(&cfg).run();
+    let report = World::build(&cfg).run().report;
     assert!(report.created() > 50, "created {}", report.created());
     let ratio = report.delivery_ratio();
     assert!(
@@ -82,7 +82,7 @@ fn deterministic_given_seed() {
         let mut cfg = presets::smoke();
         cfg.duration_secs = 1200.0;
         cfg.seed = seed;
-        let r = World::build(&cfg).run();
+        let r = World::build(&cfg).run().report;
         (
             r.created(),
             r.delivered(),
@@ -109,7 +109,7 @@ fn all_policies_run_the_smoke_scenario() {
         let mut cfg = presets::smoke();
         cfg.duration_secs = 900.0;
         cfg.policy = policy;
-        let report = World::build(&cfg).run();
+        let report = World::build(&cfg).run().report;
         assert!(report.created() > 0, "{policy:?} created nothing");
     }
 }
@@ -120,7 +120,7 @@ fn oracle_mode_runs_and_matches_structure() {
     cfg.duration_secs = 900.0;
     cfg.policy = PolicyKind::SdsrpOracle { lambda: 1e-3 };
     cfg.oracle = true;
-    let report = World::build(&cfg).run();
+    let report = World::build(&cfg).run().report;
     assert!(report.created() > 0);
 }
 
@@ -137,7 +137,7 @@ fn epidemic_and_direct_bracket_spray_and_wait() {
         cfg.buffer_capacity = Bytes::from_mb(50.0);
         cfg.policy = PolicyKind::Fifo;
         cfg.routing = routing;
-        World::build(&cfg).run()
+        World::build(&cfg).run().report
     };
     let epidemic = mk(RoutingKind::Epidemic);
     let saw = mk(RoutingKind::SprayAndWaitBinary);
@@ -165,7 +165,7 @@ fn constrained_buffers_force_drops() {
     cfg.buffer_capacity = Bytes::from_mb(1.0); // two messages max
     cfg.gen_interval = (5.0, 10.0);
     cfg.policy = PolicyKind::Fifo;
-    let report = World::build(&cfg).run();
+    let report = World::build(&cfg).run().report;
     assert!(
         report.buffer_drops() + report.incoming_rejects() > 0,
         "no buffer pressure despite tiny buffers"
@@ -178,7 +178,7 @@ fn contact_trace_recording() {
     cfg.duration_secs = 1200.0;
     let mut world = World::build(&cfg);
     world.enable_contact_recording();
-    let (_report, trace) = world.run_with_trace();
+    let trace = world.run().contacts.expect("contact recording enabled");
     assert!(!trace.is_empty(), "no contacts recorded");
     assert_eq!(trace.open_count(), 0, "unclosed contacts at end");
 }
@@ -192,7 +192,7 @@ fn ttl_expiry_purges_copies() {
     };
     cfg.ttl = SimDuration::from_secs(60.0);
     cfg.duration_secs = 600.0;
-    let report = World::build(&cfg).run();
+    let report = World::build(&cfg).run().report;
     assert!(report.expirations() > 0);
 }
 
@@ -203,7 +203,7 @@ fn spray_and_focus_runs() {
     cfg.routing = RoutingKind::SprayAndFocus {
         handoff_threshold: 60.0,
     };
-    let report = World::build(&cfg).run();
+    let report = World::build(&cfg).run().report;
     assert!(report.created() > 0);
 }
 
@@ -228,7 +228,7 @@ fn flapping_contact_aborts_transfers() {
     cfg.initial_copies = 2;
     cfg.policy = PolicyKind::Fifo;
     cfg.seed = 5;
-    let r = World::build(&cfg).run();
+    let r = World::build(&cfg).run().report;
     assert!(r.created() > 50);
     assert!(r.delivered() > 0, "no delivery despite periodic contact");
     assert!(
@@ -249,7 +249,7 @@ fn single_slot_buffers_still_deliver() {
     cfg.message_size = Bytes::from_mb(0.5);
     cfg.policy = PolicyKind::Sdsrp;
     cfg.seed = 9;
-    let r = World::build(&cfg).run();
+    let r = World::build(&cfg).run().report;
     assert!(r.created() > 0);
     assert!(
         r.buffer_drops() + r.incoming_rejects() > 0,
@@ -263,11 +263,11 @@ fn warmup_excludes_early_messages_from_metrics() {
     let mut cfg = presets::smoke();
     cfg.duration_secs = 2000.0;
     cfg.seed = 3;
-    let cold = World::build(&cfg).run();
+    let cold = World::build(&cfg).run().report;
 
     let mut warm_cfg = cfg.clone();
     warm_cfg.warmup_secs = 600.0;
-    let warm = World::build(&warm_cfg).run();
+    let warm = World::build(&warm_cfg).run().report;
 
     // Warm-up removes roughly 600/2000 of the generated messages
     // from the count, while the simulation itself is unchanged.
@@ -279,7 +279,7 @@ fn warmup_excludes_early_messages_from_metrics() {
     assert!(warm.transmissions() < cold.transmissions());
     // With warmup = 0 the default behaviour is bit-identical to the
     // paper configuration.
-    let zero = World::build(&cfg).run();
+    let zero = World::build(&cfg).run().report;
     assert_eq!(zero.created(), cold.created());
     assert_eq!(zero.transmissions(), cold.transmissions());
 }
@@ -297,7 +297,7 @@ fn step_until_equals_one_shot_run() {
     let mut cfg = presets::smoke();
     cfg.duration_secs = 1000.0;
     cfg.seed = 8;
-    let oneshot = World::build(&cfg).run();
+    let oneshot = World::build(&cfg).run().report;
 
     let mut stepped = World::build(&cfg);
     let mut total_events = 0;
@@ -325,7 +325,7 @@ fn poisson_traffic_matches_uniform_rate() {
         cfg.duration_secs = 3000.0;
         cfg.traffic = traffic;
         cfg.seed = 6;
-        World::build(&cfg).run().created()
+        World::build(&cfg).run().report.created()
     };
     let uniform = run(TrafficModel::Uniform) as f64;
     let poisson = run(TrafficModel::Poisson) as f64;
@@ -343,7 +343,12 @@ fn timeseries_records_buffer_pressure() {
     cfg.gen_interval = (8.0, 12.0);
     let mut world = World::build(&cfg);
     world.enable_timeseries(30.0);
-    let (report, ts) = world.run_with_timeseries();
+    let RunOutput {
+        report,
+        mut recorder,
+        ..
+    } = world.run();
+    let ts = recorder.take_timeseries().expect("time series enabled");
     assert!(report.created() > 0);
     assert!(ts.len() >= 1500 / 30, "too few samples: {}", ts.len());
     // Occupancy must become non-trivial under this load.
@@ -366,7 +371,7 @@ fn immunity_modes_cut_circulating_copies() {
         cfg.policy = PolicyKind::Fifo;
         cfg.immunity = immunity;
         cfg.seed = 4;
-        World::build(&cfg).run()
+        World::build(&cfg).run().report
     };
     let none = run(ImmunityMode::None);
     let flood = run(ImmunityMode::OracleFlood);
@@ -395,7 +400,7 @@ fn heterogeneous_message_sizes_run_with_knapsack() {
     cfg.message_size_max = Some(Bytes::from_mb(1.0));
     cfg.policy = PolicyKind::Knapsack;
     cfg.seed = 2;
-    let r = World::build(&cfg).run();
+    let r = World::build(&cfg).run().report;
     assert!(r.created() > 0);
     assert!(r.delivery_ratio() > 0.0, "knapsack delivered nothing");
 }
@@ -409,7 +414,7 @@ fn knapsack_matches_greedy_on_uniform_sizes_roughly() {
         cfg.duration_secs = 1500.0;
         cfg.policy = policy;
         cfg.seed = 3;
-        World::build(&cfg).run().delivery_ratio()
+        World::build(&cfg).run().report.delivery_ratio()
     };
     let knap = run(PolicyKind::Knapsack);
     let ttl = run(PolicyKind::TtlRatio);
@@ -434,7 +439,10 @@ fn validated_smoke_run_is_clean_and_samples_estimators() {
     cfg.policy = PolicyKind::Sdsrp;
     let mut world = World::build(&cfg);
     world.enable_validation(dtn_validate::ValidateConfig::default());
-    let (report, validation, _rec) = world.run_validated();
+    let RunOutput {
+        report, validation, ..
+    } = world.run();
+    let validation = validation.expect("validation enabled");
     assert!(report.created() > 0);
     assert!(
         validation.ok(),
@@ -462,7 +470,10 @@ fn validated_epidemic_run_skips_token_conservation() {
     let mut world = World::build(&cfg);
     world.enable_validation(dtn_validate::ValidateConfig::default());
     assert!(!world.validator_mut().expect("enabled").conserves_tokens());
-    let (report, validation, _rec) = world.run_validated();
+    let RunOutput {
+        report, validation, ..
+    } = world.run();
+    let validation = validation.expect("validation enabled");
     assert!(report.created() > 0);
     assert!(
         validation.ok(),
@@ -494,20 +505,73 @@ fn seeded_corruption_is_detected_by_next_sweep() {
     );
 }
 
+/// Validation never perturbs the run, and `run` is exactly
+/// `step_until(end)` plus the final sweep. `step_until` leaves the clock
+/// at the scenario end rather than at the last event, and the final
+/// sweep reads the clock, so the cases cover ticks from 1 s to 60 s,
+/// durations that are not a multiple of the tick and TTLs short enough
+/// to expire between the last tick and the end.
 #[test]
 fn validation_does_not_change_the_run() {
-    let mut cfg = presets::smoke();
-    cfg.duration_secs = 1500.0;
-    cfg.policy = PolicyKind::Sdsrp;
-    let plain = World::build(&cfg).run();
-    let mut world = World::build(&cfg);
-    world.enable_validation(dtn_validate::ValidateConfig::default());
-    let (validated, validation, _rec) = world.run_validated();
-    assert!(validation.ok(), "{}", validation.summary());
-    assert_eq!(plain.created(), validated.created());
-    assert_eq!(plain.delivered(), validated.delivered());
-    assert_eq!(plain.transmissions(), validated.transmissions());
-    assert_eq!(plain.buffer_drops(), validated.buffer_drops());
+    // (tick_secs, duration_secs, ttl_mins)
+    let cases = [
+        (1.0, 1500.0, 300.0),
+        (1.0, 600.5, 5.0),
+        (7.0, 1000.0, 10.0),
+        (10.0, 905.0, 2.0),
+        (30.0, 1234.5, 3.0),
+        (45.0, 1000.0, 1.0),
+        (60.0, 950.0, 4.0),
+    ];
+    for (tick, duration, ttl_mins) in cases {
+        for threads in [1, 2] {
+            let mut cfg = presets::smoke();
+            cfg.policy = PolicyKind::Sdsrp;
+            cfg.tick_secs = tick;
+            cfg.duration_secs = duration;
+            cfg.ttl = SimDuration::from_mins(ttl_mins);
+            let label =
+                format!("tick {tick} s, {duration} s, ttl {ttl_mins} min, {threads} thread(s)");
+            let build = |validate: bool| {
+                let mut w = World::build(&cfg);
+                w.set_threads(threads);
+                w.attach_recorder(Recorder::enabled(0));
+                if validate {
+                    w.enable_validation(ValidateConfig::default());
+                }
+                w
+            };
+            let plain = build(false).run();
+            assert!(
+                plain.validation.is_none() && plain.contacts.is_none(),
+                "{label}"
+            );
+            let validated = build(true).run();
+            let mut stepped = build(true);
+            stepped.step_until(SimTime::from_secs(duration));
+            let validation = validated.validation.expect("validation enabled");
+            assert!(validation.ok(), "{label}: {}", validation.summary());
+            assert!(validation.sweeps > 0, "{label}");
+            assert_eq!(
+                Some(validation),
+                stepped.take_validation_report(),
+                "{label}"
+            );
+            // Validation adds its own events, so the plain run is
+            // compared on the report alone.
+            let report_only = dtn_telemetry::EventTotals::default();
+            assert_eq!(
+                crate::replay::fingerprint(&plain.report, &report_only),
+                crate::replay::fingerprint(&validated.report, &report_only),
+                "{label}"
+            );
+            assert_eq!(
+                crate::replay::fingerprint(&validated.report, validated.recorder.totals()),
+                crate::replay::fingerprint(stepped.report(), stepped.recorder().totals()),
+                "{label}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -516,7 +580,7 @@ fn hopcount_is_one_for_direct_routing() {
     cfg.duration_secs = 2400.0;
     cfg.routing = RoutingKind::Direct;
     cfg.policy = PolicyKind::Fifo;
-    let report = World::build(&cfg).run();
+    let report = World::build(&cfg).run().report;
     if report.delivered() > 0 {
         assert_eq!(report.avg_hopcount(), 1.0);
     }
@@ -534,12 +598,12 @@ fn threaded_run_matches_serial_report() {
     let mut cfg = presets::smoke();
     cfg.duration_secs = 1200.0;
     cfg.policy = PolicyKind::Sdsrp;
-    let serial = World::build(&cfg).run();
+    let serial = World::build(&cfg).run().report;
     for threads in [2, 4] {
         let mut world = World::build(&cfg);
         world.set_threads(threads);
         assert_eq!(world.threads(), threads);
-        let r = world.run();
+        let r = world.run().report;
         assert_eq!(serial.created(), r.created(), "threads={threads}");
         assert_eq!(serial.delivered(), r.delivered(), "threads={threads}");
         assert_eq!(
@@ -564,7 +628,7 @@ fn thread_count_flipped_mid_run_is_identical() {
     let mut cfg = presets::smoke();
     cfg.duration_secs = 1000.0;
     cfg.seed = 11;
-    let oneshot = World::build(&cfg).run();
+    let oneshot = World::build(&cfg).run().report;
 
     let mut stepped = World::build(&cfg);
     for (k, threads) in [(1, 1usize), (2, 4), (3, 2), (4, 8), (5, 1)] {
@@ -592,10 +656,10 @@ fn faulted_threaded_run_matches_serial() {
         transfer_abort_prob: 0.05,
         clock_skew_max_secs: 1.0,
     };
-    let serial = World::build(&cfg).run();
+    let serial = World::build(&cfg).run().report;
     let mut world = World::build(&cfg);
     world.set_threads(4);
-    let threaded = world.run();
+    let threaded = world.run().report;
     assert_eq!(serial.created(), threaded.created());
     assert_eq!(serial.delivered(), threaded.delivered());
     assert_eq!(serial.transmissions(), threaded.transmissions());

@@ -129,11 +129,6 @@ impl Recorder {
         self.timeseries = Some(TimeSeries::new(sample_every));
     }
 
-    /// Whether time-series sampling is enabled.
-    pub fn has_timeseries(&self) -> bool {
-        self.timeseries.is_some()
-    }
-
     /// Whether a time-series sample is due at `now_secs`.
     #[inline]
     pub fn timeseries_due(&self, now_secs: f64) -> bool {
@@ -209,7 +204,6 @@ mod tests {
     #[test]
     fn timeseries_works_on_a_disabled_recorder() {
         let mut r = Recorder::disabled();
-        assert!(!r.has_timeseries());
         assert!(!r.timeseries_due(0.0));
         r.enable_timeseries(10.0);
         assert!(r.timeseries_due(0.0));
@@ -224,7 +218,7 @@ mod tests {
         assert!(!r.timeseries_due(5.0));
         let ts = r.take_timeseries().unwrap();
         assert_eq!(ts.len(), 1);
-        assert!(!r.has_timeseries());
+        assert!(r.take_timeseries().is_none());
     }
 
     #[test]

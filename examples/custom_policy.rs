@@ -45,7 +45,7 @@ fn main() {
     for policy in [PolicyKind::Fifo, PolicyKind::Sdsrp] {
         let mut c = cfg.clone();
         c.policy = policy;
-        let r = World::build(&c).run();
+        let r = World::build(&c).run().report;
         println!(
             "{:<20} {:>9.4} {:>7.2} {:>9.2}",
             policy.label(),
@@ -56,7 +56,9 @@ fn main() {
     }
 
     // The custom policy: one fresh instance per node.
-    let r = World::build_with_policies(&cfg, &mut |_node| Box::new(HopAwareFreshness)).run();
+    let r = World::build_with_policies(&cfg, &mut |_node| Box::new(HopAwareFreshness))
+        .run()
+        .report;
     println!(
         "{:<20} {:>9.4} {:>7.2} {:>9.2}",
         "HopAwareFreshness",

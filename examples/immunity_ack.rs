@@ -32,7 +32,7 @@ fn main() {
             let mut cfg = base.clone();
             cfg.policy = policy;
             cfg.immunity = immunity;
-            let r = World::build(&cfg).run();
+            let r = World::build(&cfg).run().report;
             println!(
                 "{:<26} {:>9.4} {:>9.2} {:>8.0}s {:>8}",
                 format!("{} + {label}", policy.label()),

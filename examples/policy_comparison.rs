@@ -7,12 +7,11 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use sdsrp::core::stats::OnlineStats;
 use sdsrp::sim::config::{presets, PolicyKind};
-use sdsrp::sim::world::World;
+use sdsrp::sim::sweep::{run_sweep_hardened, SweepAxis, SweepOptions, SweepSpec};
 
 fn main() {
-    let seeds = [1u64, 2, 3];
+    let seeds = vec![1u64, 2, 3];
     // Shortened Table II scenario so the example finishes in seconds.
     let mut base = presets::random_waypoint_paper();
     base.duration_secs = 6_000.0;
@@ -26,25 +25,21 @@ fn main() {
         "policy", "delivery", "hops", "overhead"
     );
 
-    for policy in PolicyKind::paper_four() {
-        let mut delivery = OnlineStats::new();
-        let mut hops = OnlineStats::new();
-        let mut overhead = OnlineStats::new();
-        for &seed in &seeds {
-            let mut cfg = base.clone();
-            cfg.policy = policy;
-            cfg.seed = seed;
-            let r = World::build(&cfg).run();
-            delivery.push(r.delivery_ratio());
-            hops.push(r.avg_hopcount());
-            overhead.push(r.overhead_ratio());
-        }
+    // One axis point (the scenario's own L) x the four policies x the
+    // seeds: a one-column Fig. 8, run in parallel and seed-averaged.
+    let spec = SweepSpec {
+        axis: SweepAxis::InitialCopies(vec![base.initial_copies]),
+        base,
+        policies: PolicyKind::paper_four().to_vec(),
+        seeds,
+        validate: false,
+    };
+    let out = run_sweep_hardened(&spec, &SweepOptions::default());
+    assert!(out.errors.is_empty(), "cells panicked: {:?}", out.errors);
+    for cell in &out.cells {
         println!(
             "{:<16} {:>9.4} {:>7.2} {:>9.2}",
-            policy.label(),
-            delivery.mean().unwrap(),
-            hops.mean().unwrap(),
-            overhead.mean().unwrap(),
+            cell.policy, cell.delivery_ratio, cell.avg_hopcount, cell.overhead_ratio,
         );
     }
 

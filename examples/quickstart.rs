@@ -21,7 +21,7 @@ fn main() {
     println!("policy   : {}", cfg.policy.label());
     println!();
 
-    let report = World::build(&cfg).run();
+    let report = World::build(&cfg).run().report;
 
     println!("messages generated : {}", report.created());
     println!("messages delivered : {}", report.delivered());

@@ -53,7 +53,7 @@ fn main() {
     for policy in PolicyKind::paper_four() {
         let mut c = cfg.clone();
         c.policy = policy;
-        let r = World::build(&c).run();
+        let r = World::build(&c).run().report;
         println!(
             "{:<16} {:>9.4} {:>7.2} {:>9.2}",
             policy.label(),
@@ -67,8 +67,9 @@ fn main() {
     //    approximately follow an exponential.
     let mut c = cfg.clone();
     c.policy = PolicyKind::Fifo;
-    let world = World::build(&c);
-    let (_report, contacts) = world.run_with_trace();
+    let mut world = World::build(&c);
+    world.enable_contact_recording();
+    let contacts = world.run().contacts.expect("contact recording enabled");
     let mut gaps = contacts.intermeeting_times();
     if let Some(fit) = fit_exponential(&gaps) {
         let ks = ks_distance_exponential(&mut gaps, fit.lambda);

@@ -66,7 +66,9 @@
 //! (`--cell-timeout`, `--worker-timeout`, `--retries`), and merges
 //! leftover per-worker shard checkpoints on `--resume`. `--worker-bin`
 //! overrides the worker binary (default: `dtn-fleet-worker` next to
-//! this executable, or `$DTN_FLEET_WORKER`).
+//! this executable, or `$DTN_FLEET_WORKER`). Fleet workers run each
+//! cell on one thread, so `--workers` rejects `--threads` and
+//! `--world-threads` (exit 2).
 //!
 //! `--transport tcp` listens on `--listen ADDR` (default
 //! `127.0.0.1:0`; the bound address is printed) instead of spawning
@@ -83,7 +85,7 @@ use sdsrp::sim::config::{presets, ImmunityMode, PolicyKind, RoutingKind, Scenari
 use sdsrp::sim::output::{Metric, SeriesTable};
 use sdsrp::sim::replay::{manifest_for_run, replay_manifest};
 use sdsrp::sim::sweep::{run_sweep_hardened, SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec};
-use sdsrp::sim::world::World;
+use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::telemetry::{JsonlSink, Recorder, RunManifest};
 use sdsrp::validate::ValidateConfig;
 use std::process::exit;
@@ -109,7 +111,8 @@ fn usage() -> ! {
          --threads N: single runs execute the world's parallel tick phases\n\
          on N threads; in --sweep mode it fans cells out across N workers\n\
          (use --world-threads for intra-run threading there). Results are\n\
-         bit-identical at any thread count."
+         bit-identical at any thread count. --workers runs every cell on one\n\
+         thread in a worker process and cannot be combined with either."
     );
     exit(2);
 }
@@ -361,7 +364,8 @@ fn run_delay_oracle_mode(cfg: ScenarioConfig, threads: usize, json_out: bool) ->
     let mut world = World::build(&cfg);
     world.set_threads(threads.max(1));
     world.enable_contact_recording();
-    let (report, trace) = world.run_with_trace();
+    let out = world.run();
+    let (report, trace) = (out.report, out.contacts.expect("contact recording enabled"));
 
     if trace.is_empty() {
         eprintln!("no contacts recorded: cannot estimate λ");
@@ -579,6 +583,8 @@ fn main() {
     let mut sweep_seeds: u64 = 3;
     let mut sweep_threads: usize = 0;
     let mut world_threads: usize = 1;
+    // The last thread-count flag given, if any (`--workers` rejects it).
+    let mut threads_flag: Option<&str> = None;
     let mut validate_cells = false;
     let mut checkpoint: Option<String> = None;
     let mut resume = false;
@@ -712,9 +718,11 @@ fn main() {
             }
             "--threads" => {
                 sweep_threads = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                threads_flag = Some("--threads");
             }
             "--world-threads" => {
                 world_threads = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                threads_flag = Some("--world-threads");
             }
             "--validate-cells" => validate_cells = true,
             "--checkpoint" => checkpoint = Some(next(&args, &mut i)),
@@ -746,6 +754,12 @@ fn main() {
             }
         }
         i += 1;
+    }
+    if let Some(flag) = threads_flag.filter(|_| fleet.workers > 0) {
+        eprintln!(
+            "--workers cannot be combined with {flag}: fleet workers run each cell on one thread"
+        );
+        exit(2);
     }
 
     if let Some(path) = &replay_path {
@@ -800,15 +814,16 @@ fn main() {
     if timeseries_path.is_some() {
         world.enable_timeseries(cfg.tick_secs.max(1.0) * 10.0);
     }
-    let run_started = std::time::Instant::now();
-    let (report, validation, mut recorder) = if validate {
+    if validate {
         world.enable_validation(ValidateConfig::default());
-        let (report, validation, recorder) = world.run_validated();
-        (report, Some(validation), recorder)
-    } else {
-        let (report, recorder) = world.run_with_recorder();
-        (report, None, recorder)
-    };
+    }
+    let run_started = std::time::Instant::now();
+    let RunOutput {
+        report,
+        mut recorder,
+        validation,
+        ..
+    } = world.run();
     let wall_clock_secs = run_started.elapsed().as_secs_f64();
     let timeseries = recorder.take_timeseries();
 

@@ -37,8 +37,8 @@
 //! let mut cfg = presets::random_waypoint_paper();
 //! cfg.policy = PolicyKind::Sdsrp;
 //! cfg.seed = 1;
-//! let report = World::build(&cfg).run();
-//! println!("delivery ratio = {:.3}", report.delivery_ratio());
+//! let out = World::build(&cfg).run();
+//! println!("delivery ratio = {:.3}", out.report.delivery_ratio());
 //! ```
 
 pub use dtn_analysis as analysis;

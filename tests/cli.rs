@@ -82,6 +82,21 @@ fn unknown_arguments_fail_with_usage() {
 }
 
 #[test]
+fn workers_reject_thread_count_flags() {
+    for flag in ["--threads", "--world-threads"] {
+        let out = bin()
+            .args(["--sweep", "copies", "--workers", "2", flag, "2"])
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "one-line message: {err}");
+        assert!(err.contains("--workers") && err.contains(flag), "{err}");
+        assert!(out.stdout.is_empty(), "{flag}: no sweep output");
+    }
+}
+
+#[test]
 fn telemetry_flag_writes_jsonl_and_matching_manifest() {
     let dir = std::env::temp_dir().join("sdsrp_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -17,7 +17,9 @@ fn short_smoke(policy: PolicyKind, seed: u64) -> ScenarioConfig {
 
 #[test]
 fn facade_exposes_the_whole_pipeline() {
-    let report = World::build(&short_smoke(PolicyKind::Sdsrp, 1)).run();
+    let report = World::build(&short_smoke(PolicyKind::Sdsrp, 1))
+        .run()
+        .report;
     assert!(report.created() > 0);
     assert!(report.delivered() <= report.created());
     assert!(report.transmissions() >= report.delivered_events());
@@ -26,7 +28,9 @@ fn facade_exposes_the_whole_pipeline() {
 #[test]
 fn full_determinism_across_the_stack() {
     let run = || {
-        let r = World::build(&short_smoke(PolicyKind::Sdsrp, 33)).run();
+        let r = World::build(&short_smoke(PolicyKind::Sdsrp, 33))
+            .run()
+            .report;
         (
             r.created(),
             r.delivered(),
@@ -50,7 +54,7 @@ fn conservation_invariants_hold_for_every_policy() {
         PolicyKind::Shli,
         PolicyKind::Random,
     ] {
-        let r = World::build(&short_smoke(policy, 5)).run();
+        let r = World::build(&short_smoke(policy, 5)).run().report;
         assert!(
             r.delivered() <= r.created(),
             "{policy:?}: delivered more than created"
@@ -82,7 +86,7 @@ fn bigger_buffers_never_hurt_much() {
             let mut cfg = short_smoke(PolicyKind::Sdsrp, seed);
             cfg.duration_secs = 2000.0;
             cfg.buffer_capacity = Bytes::from_mb(mb);
-            acc += World::build(&cfg).run().delivery_ratio();
+            acc += World::build(&cfg).run().report.delivery_ratio();
         }
         acc / 3.0
     };
@@ -103,7 +107,7 @@ fn slower_generation_improves_delivery() {
             let mut cfg = short_smoke(PolicyKind::Fifo, seed);
             cfg.duration_secs = 2000.0;
             cfg.gen_interval = interval;
-            acc += World::build(&cfg).run().delivery_ratio();
+            acc += World::build(&cfg).run().report.delivery_ratio();
         }
         acc / 3.0
     };
@@ -128,7 +132,7 @@ fn trace_replay_equals_live_mobility() {
     cfg.duration_secs = 900.0;
     cfg.seed = 11;
 
-    let live = World::build(&cfg).run();
+    let live = World::build(&cfg).run().report;
 
     let mut fleet = sdsrp::mobility::build_fleet(&cfg.mobility, cfg.n_nodes, cfg.seed);
     let trace = MobilityTrace::record(
@@ -140,7 +144,7 @@ fn trace_replay_equals_live_mobility() {
     replay_cfg.mobility = MobilityConfig::TraceText {
         body: trace.to_text(),
     };
-    let replayed = World::build(&replay_cfg).run();
+    let replayed = World::build(&replay_cfg).run().report;
 
     assert_eq!(live.created(), replayed.created());
     assert_eq!(live.delivered(), replayed.delivered());
@@ -157,7 +161,7 @@ fn spray_and_wait_limits_infection_scope() {
     cfg.buffer_capacity = Bytes::from_mb(100.0); // no drops
     cfg.initial_copies = 8;
     cfg.policy = PolicyKind::Fifo;
-    let r = World::build(&cfg).run();
+    let r = World::build(&cfg).run().report;
     let replications = r.transmissions() - r.delivered_events();
     assert!(
         replications <= r.created() * 7,
@@ -183,7 +187,7 @@ fn relay_chain_delivers_multihop() {
     cfg.initial_copies = 4;
     cfg.policy = PolicyKind::Fifo;
     cfg.seed = 13;
-    let r = World::build(&cfg).run();
+    let r = World::build(&cfg).run().report;
     assert!(r.created() >= 20);
     // Allow the last couple of messages to be in flight at the end.
     assert!(
@@ -207,7 +211,7 @@ fn epidemic_with_tiny_ttl_expires_messages() {
     cfg.duration_secs = 1200.0;
     cfg.routing = RoutingKind::Epidemic;
     cfg.ttl = SimDuration::from_secs(120.0);
-    let r = World::build(&cfg).run();
+    let r = World::build(&cfg).run().report;
     assert!(r.expirations() > 0, "no TTL expirations despite 120 s TTL");
 }
 
@@ -216,8 +220,8 @@ fn scenario_serde_roundtrip_runs_identically() {
     let cfg = short_smoke(PolicyKind::Sdsrp, 21);
     let json = serde_json::to_string(&cfg).expect("serialise");
     let back: ScenarioConfig = serde_json::from_str(&json).expect("deserialise");
-    let a = World::build(&cfg).run();
-    let b = World::build(&back).run();
+    let a = World::build(&cfg).run().report;
+    let b = World::build(&back).run().report;
     assert_eq!(a.created(), b.created());
     assert_eq!(a.delivered(), b.delivered());
 }

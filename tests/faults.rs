@@ -176,7 +176,9 @@ fn invariants_hold_under_crash_blackout_grid() {
             let mut world = World::build(&cfg);
             world.attach_recorder(Recorder::enabled(1024));
             world.enable_validation(ValidateConfig::default());
-            let (_report, validation, recorder) = world.run_validated();
+            let out = world.run();
+            let (validation, recorder) =
+                (out.validation.expect("validation enabled"), out.recorder);
             assert!(
                 validation.ok(),
                 "{:?} crash={crash} blackout={blackout}: {}",

@@ -144,9 +144,9 @@ proptest! {
             let mut world = World::build(&cfg);
             world.set_threads(threads);
             world.enable_validation(ValidateConfig::default());
-            let (report, validation, recorder) = world.run_validated();
-            let fp = sdsrp::sim::replay::fingerprint(&report, recorder.totals());
-            (fp, validation)
+            let out = world.run();
+            let fp = sdsrp::sim::replay::fingerprint(&out.report, out.recorder.totals());
+            (fp, out.validation.expect("validation enabled"))
         };
         let (fp_serial, val_serial) = run(1);
         let (fp_parallel, val_parallel) = run(4);

@@ -25,7 +25,7 @@ proptest! {
 
     #[test]
     fn random_scenarios_uphold_invariants(cfg in scenario_strategy()) {
-        let r = World::build(&cfg).run();
+        let r = World::build(&cfg).run().report;
         prop_assert!(r.delivered() <= r.created());
         prop_assert!(r.delivered_events() >= r.delivered());
         prop_assert!(r.transmissions() >= r.delivered_events());
@@ -38,8 +38,8 @@ proptest! {
 
     #[test]
     fn random_scenarios_are_deterministic(cfg in scenario_strategy()) {
-        let a = World::build(&cfg).run();
-        let b = World::build(&cfg).run();
+        let a = World::build(&cfg).run().report;
+        let b = World::build(&cfg).run().report;
         prop_assert_eq!(a.created(), b.created());
         prop_assert_eq!(a.delivered(), b.delivered());
         prop_assert_eq!(a.transmissions(), b.transmissions());
@@ -52,7 +52,7 @@ proptest! {
         // a violation on any random scenario is a simulator bug.
         let mut world = World::build(&cfg);
         world.enable_validation(sdsrp::validate::ValidateConfig::default());
-        let (_report, validation, _rec) = world.run_validated();
+        let validation = world.run().validation.expect("validation enabled");
         prop_assert!(
             validation.ok(),
             "invariant violations:\n{}", validation.summary()

@@ -17,7 +17,7 @@ fn congested(policy: PolicyKind, seed: u64) -> ScenarioConfig {
 }
 
 fn fingerprint(cfg: &ScenarioConfig) -> (u64, u64, u64, u64, u64) {
-    let r = World::build(cfg).run();
+    let r = World::build(cfg).run().report;
     (
         r.created(),
         r.delivered(),
@@ -41,7 +41,7 @@ fn sdsrp_variant(reject_dropped: bool, gossip: bool, taylor: Option<usize>) -> P
 
 #[test]
 fn congestion_actually_causes_drops() {
-    let r = World::build(&congested(PolicyKind::Sdsrp, 1)).run();
+    let r = World::build(&congested(PolicyKind::Sdsrp, 1)).run().report;
     assert!(
         r.buffer_drops() + r.incoming_rejects() > 20,
         "scenario not congested enough to exercise Algorithm 1: {} drops, {} rejects",
@@ -134,8 +134,12 @@ fn sdsrp_beats_fifo_on_overhead_in_congestion() {
     let mut fifo_oh = 0.0;
     let mut sdsrp_oh = 0.0;
     for seed in 1..=3 {
-        let f = World::build(&congested(PolicyKind::Fifo, seed)).run();
-        let s = World::build(&congested(PolicyKind::Sdsrp, seed)).run();
+        let f = World::build(&congested(PolicyKind::Fifo, seed))
+            .run()
+            .report;
+        let s = World::build(&congested(PolicyKind::Sdsrp, seed))
+            .run()
+            .report;
         fifo_oh += f.overhead_ratio();
         sdsrp_oh += s.overhead_ratio();
     }
@@ -153,9 +157,11 @@ fn sdsrp_hopcount_not_worse_than_fifo() {
     for seed in 1..=3 {
         fifo_h += World::build(&congested(PolicyKind::Fifo, seed))
             .run()
+            .report
             .avg_hopcount();
         sdsrp_h += World::build(&congested(PolicyKind::Sdsrp, seed))
             .run()
+            .report
             .avg_hopcount();
     }
     assert!(
@@ -176,7 +182,7 @@ fn oracle_mode_bookkeeping_is_consistent() {
         7,
     );
     cfg.oracle = true;
-    let r = World::build(&cfg).run();
+    let r = World::build(&cfg).run().report;
     assert!(r.created() > 0);
     assert!(r.delivery_ratio() > 0.0);
 }

@@ -81,7 +81,7 @@ fn memory_sink_stream_is_ordered_and_serialisable() {
 #[test]
 fn attaching_a_recorder_does_not_change_the_outcome() {
     let cfg = short_smoke();
-    let plain = World::build(&cfg).run();
+    let plain = World::build(&cfg).run().report;
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(128).with_sink(Box::new(MemorySink::new())));
     let (observed, _recorder) = world.run_with_recorder();

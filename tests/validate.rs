@@ -8,7 +8,7 @@ use sdsrp::sim::replay::{
     replay_manifest, ReplayError,
 };
 use sdsrp::sim::sweep::{SweepAxis, SweepSpec};
-use sdsrp::sim::world::World;
+use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::telemetry::Recorder;
 use sdsrp::validate::{DelayModel, ValidateConfig, ValidationReport};
 
@@ -21,17 +21,16 @@ fn quick(policy: PolicyKind, routing: RoutingKind, seed: u64) -> ScenarioConfig 
     cfg
 }
 
-fn run_validated(cfg: &ScenarioConfig) -> ValidationReport {
+fn validation_of(cfg: &ScenarioConfig) -> ValidationReport {
     let mut world = World::build(cfg);
     world.enable_validation(ValidateConfig::default());
-    let (_report, validation, _rec) = world.run_validated();
-    validation
+    world.run().validation.expect("validation enabled")
 }
 
 #[test]
 fn policy_matrix_upholds_all_invariants() {
     for policy in PolicyKind::paper_four() {
-        let validation = run_validated(&quick(policy, RoutingKind::SprayAndWaitBinary, 11));
+        let validation = validation_of(&quick(policy, RoutingKind::SprayAndWaitBinary, 11));
         assert!(
             validation.ok(),
             "{policy:?} violated invariants:\n{}",
@@ -53,7 +52,7 @@ fn routing_matrix_upholds_all_invariants() {
         },
         RoutingKind::Prophet,
     ] {
-        let validation = run_validated(&quick(PolicyKind::Sdsrp, routing, 13));
+        let validation = validation_of(&quick(PolicyKind::Sdsrp, routing, 13));
         assert!(
             validation.ok(),
             "{routing:?} violated invariants:\n{}",
@@ -64,7 +63,7 @@ fn routing_matrix_upholds_all_invariants() {
 
 #[test]
 fn estimator_oracle_reports_errors_on_validated_runs() {
-    let validation = run_validated(&quick(
+    let validation = validation_of(&quick(
         PolicyKind::Sdsrp,
         RoutingKind::SprayAndWaitBinary,
         17,
@@ -112,7 +111,13 @@ fn validated_run_exports_estimator_metrics_to_telemetry() {
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(4096));
     world.enable_validation(ValidateConfig::default());
-    let (report, validation, recorder) = world.run_validated();
+    let RunOutput {
+        report,
+        recorder,
+        validation,
+        ..
+    } = world.run();
+    let validation = validation.expect("validation enabled");
     assert!(validation.ok(), "{}", validation.summary());
 
     let totals = recorder.totals();
@@ -143,7 +148,7 @@ fn replay_from_manifest_is_bit_identical() {
     world.attach_recorder(Recorder::enabled(4096));
     world.enable_validation(ValidateConfig::default());
     let started = std::time::Instant::now();
-    let (report, _validation, recorder) = world.run_validated();
+    let (report, recorder) = world.run_with_recorder();
     let original = manifest_for_run(&cfg, &report, &recorder, started.elapsed().as_secs_f64());
 
     let outcome = replay_manifest(&original).expect("manifest replays");
@@ -246,7 +251,8 @@ fn fitted_delay_model(cfg: &ScenarioConfig, threads: usize) -> (DelayModel, Vec<
     let mut world = World::build(cfg);
     world.set_threads(threads);
     world.enable_contact_recording();
-    let (report, trace) = world.run_with_trace();
+    let out = world.run();
+    let (report, trace) = (out.report, out.contacts.expect("contact recording enabled"));
     let n_pairs = (cfg.n_nodes * (cfg.n_nodes - 1) / 2) as f64;
     let lambda = trace.len() as f64 / (n_pairs * cfg.duration_secs);
     (
@@ -302,7 +308,7 @@ fn delay_oracle_is_thread_count_invariant() {
 
 #[test]
 fn validation_report_json_is_well_formed() {
-    let validation = run_validated(&quick(
+    let validation = validation_of(&quick(
         PolicyKind::Sdsrp,
         RoutingKind::SprayAndWaitBinary,
         37,

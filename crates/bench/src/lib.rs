@@ -13,24 +13,22 @@
 //!
 //! All binaries accept `--quick` (reduced duration/points/seeds for a
 //! laptop-minutes smoke pass), `--seeds N`, and `--out DIR` to also
-//! write CSVs.
+//! write CSVs, plus the fleet flags of `dtn-scenario` (parsed by
+//! [`dtn_fleet::FleetCli`]). An unknown flag or a malformed value exits
+//! 2 with a usage line.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use dtn_fleet::{
-    locate_worker, run_sweep_fleet, FleetOptions, SubprocessTransport, TcpTransport, Transport,
-};
+use dtn_fleet::{FleetCli, FLEET_USAGE};
 use dtn_sim::config::{PolicyKind, ScenarioConfig};
 use dtn_sim::output::{Metric, SeriesTable};
-use dtn_sim::sweep::{
-    run_sweep_hardened, SweepAxis, SweepCell, SweepCheckpoint, SweepOptions, SweepOutput, SweepSpec,
-};
+use dtn_sim::sweep::{SweepAxis, SweepCell, SweepCheckpoint, SweepOptions, SweepSpec};
 use std::io::Write;
 use std::path::PathBuf;
 
 /// Parsed common CLI options.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Cli {
     /// Reduced-scale run for smoke checks.
     pub quick: bool,
@@ -53,30 +51,29 @@ pub struct Cli {
     pub checkpoint: Option<PathBuf>,
     /// Reload the checkpoint and skip already-completed cells.
     pub resume: bool,
-    /// Fan sweep cells out across N subprocess workers (0 = run
-    /// in-process with `run_sweep_hardened`).
-    pub workers: usize,
-    /// Explicit path to the `dtn-fleet-worker` binary; defaults to
-    /// `locate_worker()` (env var, then the binary's own directory).
-    pub worker_bin: Option<PathBuf>,
-    /// Fleet backend: `subprocess` (default) spawns workers locally,
-    /// `tcp` listens on `--listen` for `dtn-fleet-worker --connect`
-    /// peers. Figure binaries that run several sweep groups reuse one
-    /// listener across all of them, so TCP workers should be started
-    /// with `--reconnect`.
-    pub transport: String,
-    /// Bind address for `--transport tcp` (default `127.0.0.1:0`; the
-    /// chosen port is printed to stderr).
-    pub listen: String,
-    /// Shared-secret handshake token for `--transport tcp`.
-    pub token: Option<String>,
-    /// Seconds to wait for each of the first N TCP workers to dial in.
-    pub accept_timeout: f64,
+    /// Fleet flags (`--workers N` and friends, as in `dtn-scenario`);
+    /// without `--workers` sweeps run in-process.
+    pub fleet: FleetCli,
 }
 
 impl Cli {
-    /// Parses `std::env::args`, ignoring unknown flags with a warning.
+    /// Parses `std::env::args`. An unknown flag, a missing or malformed
+    /// value prints a usage line and exits 2.
     pub fn parse() -> Cli {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Cli::parse_from(&args).unwrap_or_else(|e| {
+            let bin = std::env::args().next().unwrap_or_default();
+            eprintln!(
+                "{e}\nusage: {bin} [--quick] [--seeds N] [--out DIR] [--sweep NAME] \
+                 [--latency] [--validate] [--validate-cells] [--checkpoint FILE [--resume]]\n\
+                 \t{FLEET_USAGE}"
+            );
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` (without the program name).
+    fn parse_from(args: &[String]) -> Result<Cli, String> {
         let mut cli = Cli {
             quick: false,
             seeds: vec![1, 2, 3],
@@ -87,81 +84,42 @@ impl Cli {
             validate_cells: false,
             checkpoint: None,
             resume: false,
-            workers: 0,
-            worker_bin: None,
-            transport: "subprocess".into(),
-            listen: "127.0.0.1:0".into(),
-            token: None,
-            accept_timeout: 30.0,
+            fleet: FleetCli::default(),
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
-            match args[i].as_str() {
+            let flag = args[i].as_str();
+            let mut value = || {
+                i += 1;
+                args.get(i)
+                    .cloned()
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
                 "--quick" => cli.quick = true,
                 "--latency" => cli.latency = true,
                 "--validate" => cli.validate = true,
                 "--validate-cells" => cli.validate_cells = true,
                 "--resume" => cli.resume = true,
-                "--checkpoint" => {
-                    i += 1;
-                    cli.checkpoint = Some(PathBuf::from(
-                        args.get(i).expect("--checkpoint needs a path"),
-                    ));
-                }
+                "--checkpoint" => cli.checkpoint = Some(value()?.into()),
                 "--seeds" => {
-                    i += 1;
-                    let n: u64 = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--seeds needs a number");
+                    let v = value()?;
+                    let n: u64 = v
+                        .parse()
+                        .map_err(|_| format!("--seeds: invalid value {v:?}"))?;
                     cli.seeds = (1..=n).collect();
                 }
-                "--out" => {
-                    i += 1;
-                    cli.out = Some(PathBuf::from(args.get(i).expect("--out needs a directory")));
+                "--out" => cli.out = Some(value()?.into()),
+                "--sweep" => cli.sweep = Some(value()?),
+                _ => {
+                    if !cli.fleet.parse_flag(args, &mut i)? {
+                        return Err(format!("unknown argument {flag:?}"));
+                    }
                 }
-                "--sweep" => {
-                    i += 1;
-                    cli.sweep = Some(args.get(i).expect("--sweep needs a name").clone());
-                }
-                "--workers" => {
-                    i += 1;
-                    cli.workers = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--workers needs a number");
-                }
-                "--worker-bin" => {
-                    i += 1;
-                    cli.worker_bin = Some(PathBuf::from(
-                        args.get(i).expect("--worker-bin needs a path"),
-                    ));
-                }
-                "--transport" => {
-                    i += 1;
-                    cli.transport = args.get(i).expect("--transport needs a name").clone();
-                }
-                "--listen" => {
-                    i += 1;
-                    cli.listen = args.get(i).expect("--listen needs an address").clone();
-                }
-                "--token" => {
-                    i += 1;
-                    cli.token = Some(args.get(i).expect("--token needs a value").clone());
-                }
-                "--accept-timeout" => {
-                    i += 1;
-                    cli.accept_timeout = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--accept-timeout needs a number");
-                }
-                other => eprintln!("warning: ignoring unknown argument {other:?}"),
             }
             i += 1;
         }
-        cli
+        Ok(cli)
     }
 
     /// Whether a sweep named `name` should run under the `--sweep`
@@ -269,16 +227,17 @@ pub fn run_figure_group(
         path: group_checkpoint_path(stem, fig, &xlabel),
         resume: cli.resume,
     });
-    let out = if cli.workers > 0 {
-        run_group_fleet(fig, &spec, checkpoint, &progress, cli)
-    } else {
-        let opts = SweepOptions {
-            checkpoint,
-            progress: Some(&progress),
-            ..SweepOptions::default()
-        };
-        run_sweep_hardened(&spec, &opts)
+    let opts = SweepOptions {
+        checkpoint,
+        progress: Some(&progress),
+        ..SweepOptions::default()
     };
+    // Figure regeneration never silently falls back to a mode the
+    // operator did not ask for: a fleet that cannot start exits 2.
+    let out = cli.fleet.run_sweep(&spec, opts).unwrap_or_else(|e| {
+        eprintln!("{fig}: fleet failed: {e}");
+        std::process::exit(2);
+    });
     eprintln!(
         "\r{fig}: {} runs ({} resumed), {} events ({} delivered, {} dropped, {} contacts)",
         out.cells.iter().map(|c| c.runs).sum::<usize>(),
@@ -324,93 +283,6 @@ pub fn run_figure_group(
         }
     }
     cells
-}
-
-/// Runs one figure group through the `dtn-fleet` coordinator with
-/// subprocess workers instead of in-process threads. Exits non-zero if
-/// the worker binary cannot be found or no worker can be spawned —
-/// figure regeneration must never silently fall back to a slower mode
-/// the operator did not ask for.
-fn run_group_fleet(
-    fig: &str,
-    spec: &SweepSpec,
-    checkpoint: Option<SweepCheckpoint>,
-    progress: &(dyn Fn(dtn_sim::sweep::SweepProgress) + Sync),
-    cli: &Cli,
-) -> SweepOutput {
-    // One listener for the whole process: fig8/fig9 run three sweep
-    // groups back-to-back, and rebinding between them would race
-    // `--reconnect` workers dialing the old port. Each group re-arms
-    // the blocking accept budget via `expect_workers`.
-    static TCP: std::sync::OnceLock<TcpTransport> = std::sync::OnceLock::new();
-    let subprocess_holder;
-    let transport: &dyn Transport = match cli.transport.as_str() {
-        "tcp" => {
-            let tcp = TCP.get_or_init(|| {
-                let tcp = TcpTransport::bind(&cli.listen)
-                    .unwrap_or_else(|e| {
-                        eprintln!("{fig}: {e}");
-                        std::process::exit(2);
-                    })
-                    .with_token(cli.token.clone())
-                    .with_timeouts(cli.accept_timeout, 30.0);
-                eprintln!(
-                    "{fig}: listening on {} (token {}); start workers with \
-                     `dtn-fleet-worker --connect ADDR --reconnect`",
-                    tcp.local_addr(),
-                    if cli.token.is_some() {
-                        "required"
-                    } else {
-                        "none"
-                    },
-                );
-                tcp
-            });
-            tcp.expect_workers(cli.workers);
-            tcp
-        }
-        "subprocess" => {
-            let worker_bin = match cli.worker_bin.clone() {
-                Some(path) => path,
-                None => locate_worker().unwrap_or_else(|e| {
-                    eprintln!("{fig}: {e}");
-                    std::process::exit(2);
-                }),
-            };
-            let mut transport = SubprocessTransport::new(worker_bin);
-            transport.checkpoint = checkpoint.as_ref().map(|ck| ck.path.clone());
-            subprocess_holder = transport;
-            &subprocess_holder
-        }
-        other => {
-            eprintln!("{fig}: unknown transport {other:?} (subprocess|tcp)");
-            std::process::exit(2);
-        }
-    };
-    let opts = FleetOptions {
-        workers: cli.workers,
-        checkpoint,
-        progress: Some(progress),
-        ..FleetOptions::default()
-    };
-    match run_sweep_fleet(spec, transport, &opts) {
-        Ok((out, stats)) => {
-            eprintln!(
-                "\r{fig}: fleet {} workers ({}), {} dispatched, {} retries, {} lost, {:.1}s wall",
-                stats.workers,
-                stats.transport,
-                stats.dispatched,
-                stats.retries,
-                stats.workers_lost,
-                stats.wall_clock_secs,
-            );
-            out
-        }
-        Err(e) => {
-            eprintln!("{fig}: fleet failed: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Quick qualitative check used by fig8/fig9: prints whether the

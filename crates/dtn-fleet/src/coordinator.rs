@@ -1,13 +1,14 @@
-//! The fleet coordinator: shards a job list across workers and folds
-//! the results into the exact [`CellsOutput`] a single-process
-//! [`dtn_sim::sweep::run_cells`] would produce.
+//! The fleet coordinator: shards a job list across workers and records
+//! the results in the same [`CellLedger`] a single-process
+//! [`dtn_sim::sweep::run_cells`] uses, so both produce the exact same
+//! [`CellsOutput`]. The coordinator adds only supervision.
 //!
 //! Supervision model:
 //!
-//! * Every worker envelope refreshes its liveness clock; subprocess and
-//!   thread workers emit heartbeats from a side thread, so silence
-//!   longer than [`FleetOptions::worker_timeout_secs`] means the
-//!   process is wedged (not merely busy) and it is torn down.
+//! * Every worker envelope refreshes its liveness clock; workers emit
+//!   heartbeats from a side thread, so silence longer than
+//!   [`FleetOptions::worker_timeout_secs`] means the process is wedged
+//!   (not merely busy) and it is torn down.
 //! * A cell in flight longer than [`FleetOptions::cell_timeout_secs`]
 //!   tears its worker down too — a hung cell keeps heartbeating, and
 //!   only this timeout can reclaim it.
@@ -28,15 +29,16 @@ use crate::protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use crate::schedule::longest_first;
 use crate::transport::{Envelope, FleetError, Transport, WorkerHandle};
 use dtn_sim::sweep::{
-    aggregate_sweep, materialize_jobs, open_checkpoint, CellError, CellJob, CellRun, CellsOutput,
-    CheckpointError, CheckpointSink, SweepCheckpoint, SweepOutput, SweepProgress, SweepSpec,
+    aggregate_sweep, materialize_jobs, CellError, CellJob, CellLedger, CellRun, CellsOutput,
+    SweepCheckpoint, SweepOutput, SweepProgress, SweepSpec,
 };
-use dtn_telemetry::{hash_config_json, EventTotals, SweepEvent};
+use dtn_telemetry::SweepEvent;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 /// Knobs of a fleet run.
+#[derive(Clone)]
 pub struct FleetOptions<'a> {
     /// Worker slots to spawn (clamped to the pending-job count; 0 is
     /// treated as 1).
@@ -100,7 +102,7 @@ pub struct WorkerUtilization {
 /// What the fleet did, beyond the sweep output itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
-    /// Transport label (`"subprocess"`, `"thread"`, `"tcp"`).
+    /// Transport label (`"subprocess"`, `"tcp"`).
     pub transport: String,
     /// Worker slots spawned.
     pub workers: usize,
@@ -187,8 +189,7 @@ impl WorkerSlot {
 
 struct Fleet<'a, 'b> {
     jobs: &'a [CellJob],
-    configs: &'a [String],
-    hashes: &'a [String],
+    ledger: CellLedger<'a>,
     opts: &'a FleetOptions<'b>,
     transport: &'a dyn Transport,
     inbox_tx: Sender<(u64, Envelope)>,
@@ -196,10 +197,6 @@ struct Fleet<'a, 'b> {
     uid_to_slot: HashMap<u64, usize>,
     next_uid: u64,
     pending: VecDeque<usize>,
-    slots: Vec<Option<Result<CellRun, CellError>>>,
-    sink: Option<CheckpointSink>,
-    totals: EventTotals,
-    completed: usize,
     attempts: Vec<u32>,
     retries_left: Vec<u32>,
     dispatched: u64,
@@ -264,23 +261,24 @@ impl Fleet<'_, '_> {
             let Some(idx) = self.pending.pop_front() else {
                 return;
             };
-            if self.slots[idx].is_some() {
+            if self.ledger.is_recorded(idx) {
                 continue; // a late result already filled this cell
             }
             let retry = self.attempts[idx];
+            let hash = self.ledger.config_hash(idx).to_string();
             // Config-push by hash: the body streams once per worker
             // incarnation; every Assign carries only the hash.
-            if !self.workers[w].pushed.contains(&self.hashes[idx]) {
+            if !self.workers[w].pushed.contains(&hash) {
                 let push = CoordinatorMsg::Config {
-                    config_hash: self.hashes[idx].clone(),
-                    config: self.configs[idx].clone(),
+                    config_hash: hash.clone(),
+                    config: self.ledger.config(idx).to_string(),
                 };
                 if let Err(e) = self.workers[w].handle.send(&push) {
                     self.pending.push_front(idx);
                     self.worker_lost(w, format!("config push failed: {}", e.message), true);
                     return;
                 }
-                self.workers[w].pushed.insert(self.hashes[idx].clone());
+                self.workers[w].pushed.insert(hash.clone());
                 self.config_pushes += 1;
             }
             let msg = CoordinatorMsg::Assign {
@@ -288,7 +286,7 @@ impl Fleet<'_, '_> {
                 label: self.jobs[idx].label.clone(),
                 policy: self.jobs[idx].policy.clone(),
                 seed: self.jobs[idx].cfg.seed,
-                config_hash: self.hashes[idx].clone(),
+                config_hash: hash.clone(),
                 validate: self.opts.validate,
                 retry,
             };
@@ -302,7 +300,7 @@ impl Fleet<'_, '_> {
                     self.emit(SweepEvent::CellDispatched {
                         index: idx as u64,
                         total: self.total() as u64,
-                        config_hash: self.hashes[idx].clone(),
+                        config_hash: hash,
                         worker: w as u64,
                         retry: u64::from(retry),
                     });
@@ -344,23 +342,15 @@ impl Fleet<'_, '_> {
             reason: reason.clone(),
         });
         if let Some(idx) = self.workers[w].assigned.take() {
-            if self.slots[idx].is_none() {
+            if !self.ledger.is_recorded(idx) {
                 if self.retries_left[idx] > 0 {
                     self.retries_left[idx] -= 1;
                     self.retries += 1;
                     self.pending.push_front(idx);
                 } else {
-                    self.record(
+                    self.fail(
                         idx,
-                        Err(CellError {
-                            index: idx,
-                            config_hash: self.hashes[idx].clone(),
-                            label: self.jobs[idx].label.clone(),
-                            policy: self.jobs[idx].policy.clone(),
-                            seed: self.jobs[idx].cfg.seed,
-                            panic: format!("fleet worker lost ({reason}); retry budget exhausted"),
-                            config: self.configs[idx].clone(),
-                        }),
+                        format!("fleet worker lost ({reason}); retry budget exhausted"),
                     );
                 }
             }
@@ -376,51 +366,18 @@ impl Fleet<'_, '_> {
         }
     }
 
-    /// Fills job slot `idx` (exactly once) with a result, streaming it
-    /// to the checkpoint and firing progress/lifecycle callbacks.
+    /// Records a result for job `idx` in the ledger (first outcome
+    /// wins); a recorded cell leaves the retry queue.
     fn record(&mut self, idx: usize, outcome: Result<CellRun, CellError>) {
-        if self.slots[idx].is_some() {
-            return; // duplicate (late result raced a retry) — first wins
+        if self.ledger.record(idx, outcome) {
+            self.pending.retain(|&i| i != idx);
         }
-        // A late duplicate still queued for retry must not re-run.
-        self.pending.retain(|&i| i != idx);
-        match &outcome {
-            Ok(run) => {
-                if let Some(sink) = &self.sink {
-                    sink.append(run);
-                }
-                self.totals.absorb(&run.fingerprint.events);
-                self.emit(SweepEvent::CellCompleted {
-                    index: idx as u64,
-                    total: self.total() as u64,
-                    config_hash: run.config_hash.clone(),
-                    label: self.jobs[idx].label.clone(),
-                    seed: run.seed,
-                    violations: run.violations,
-                    duration_ms: (run.duration_secs * 1_000.0) as u64,
-                });
-            }
-            Err(err) => {
-                self.emit(SweepEvent::CellFailed {
-                    index: idx as u64,
-                    total: self.total() as u64,
-                    config_hash: err.config_hash.clone(),
-                    label: err.label.clone(),
-                    seed: err.seed,
-                    panic: err.panic.clone(),
-                });
-            }
-        }
-        self.slots[idx] = Some(outcome);
-        self.completed += 1;
-        if let Some(progress) = self.opts.progress {
-            progress(SweepProgress {
-                completed: self.completed,
-                total: self.total(),
-                axis_label: self.jobs[idx].label.clone(),
-                policy: self.jobs[idx].policy.clone(),
-            });
-        }
+    }
+
+    /// Records job `idx` as a structured failure.
+    fn fail(&mut self, idx: usize, panic: String) {
+        let err = self.ledger.cell_error(idx, panic);
+        self.record(idx, Err(err));
     }
 
     /// True when `uid` is the live incarnation of its slot.
@@ -462,7 +419,7 @@ impl Fleet<'_, '_> {
                 // torn down instead of ping-ponging forever.
                 let Some(w) = current else { return }; // retired uid
                 if self.workers[w].assigned != Some(index)
-                    || self.hashes.get(index) != Some(&config_hash)
+                    || self.ledger.config_hash(index) != config_hash
                 {
                     return; // stale NACK for a superseded assignment
                 }
@@ -473,7 +430,7 @@ impl Fleet<'_, '_> {
                 }
                 let push = CoordinatorMsg::Config {
                     config_hash: config_hash.clone(),
-                    config: self.configs[index].clone(),
+                    config: self.ledger.config(index).to_string(),
                 };
                 let reassign = CoordinatorMsg::Assign {
                     index,
@@ -500,7 +457,7 @@ impl Fleet<'_, '_> {
                 // Paranoia gate: the record must be for the cell we
                 // think it is (guards against a worker replying out of
                 // band after a coordinator restart).
-                if idx < self.total() && self.hashes[idx] == run.config_hash {
+                if idx < self.total() && self.ledger.config_hash(idx) == run.config_hash {
                     self.record(idx, Ok(run));
                 }
                 if let Some(w) = current {
@@ -521,19 +478,8 @@ impl Fleet<'_, '_> {
                 // A cell panic is deterministic — retrying would panic
                 // again, so degrade to a CellError exactly like the
                 // in-process runner.
-                if index < self.total() && self.hashes[index] == config_hash {
-                    self.record(
-                        index,
-                        Err(CellError {
-                            index,
-                            config_hash,
-                            label: self.jobs[index].label.clone(),
-                            policy: self.jobs[index].policy.clone(),
-                            seed: self.jobs[index].cfg.seed,
-                            panic,
-                            config: self.configs[index].clone(),
-                        }),
-                    );
+                if index < self.total() && self.ledger.config_hash(index) == config_hash {
+                    self.fail(index, panic);
                 }
                 if let Some(w) = current {
                     if self.workers[w].assigned == Some(index) {
@@ -623,30 +569,19 @@ impl Fleet<'_, '_> {
             return;
         }
         while let Some(idx) = self.pending.pop_front() {
-            if self.slots[idx].is_some() {
-                continue;
-            }
-            self.record(
+            self.fail(
                 idx,
-                Err(CellError {
-                    index: idx,
-                    config_hash: self.hashes[idx].clone(),
-                    label: self.jobs[idx].label.clone(),
-                    policy: self.jobs[idx].policy.clone(),
-                    seed: self.jobs[idx].cfg.seed,
-                    panic: "fleet stranded: all workers dead and respawn budget exhausted"
-                        .to_string(),
-                    config: self.configs[idx].clone(),
-                }),
+                "fleet stranded: all workers dead and respawn budget exhausted".to_string(),
             );
         }
     }
 }
 
 /// Runs an arbitrary job list on a worker fleet. The distributed
-/// counterpart of [`dtn_sim::sweep::run_cells`]: same outputs for the
-/// same jobs, with cells executed in worker processes/threads instead
-/// of a local thread pool.
+/// counterpart of [`dtn_sim::sweep::run_cells`]: the same
+/// [`CellLedger`] records every outcome, so the outputs are the same for
+/// the same jobs, with cells executed in worker processes instead of a
+/// local thread pool.
 pub fn run_fleet(
     jobs: &[CellJob],
     transport: &dyn Transport,
@@ -654,73 +589,35 @@ pub fn run_fleet(
 ) -> Result<FleetRun, FleetError> {
     let started = Instant::now();
     let total = jobs.len();
-    let configs: Vec<String> = jobs
-        .iter()
-        .map(|j| serde_json::to_string(&j.cfg).expect("config serialises"))
-        .collect();
-    let hashes: Vec<String> = configs.iter().map(|c| hash_config_json(c)).collect();
-
-    let mut slots: Vec<Option<Result<CellRun, CellError>>> = (0..total).map(|_| None).collect();
-    let mut totals = EventTotals::default();
-    let mut resumed = 0usize;
-    let mut checkpoint_error: Option<CheckpointError> = None;
-    let mut restored_runs: Vec<Option<CellRun>> = vec![None; total];
 
     // Restore the main checkpoint plus any shard files a killed fleet
-    // left behind, *before* any worker can truncate its shard.
-    let sink = match &opts.checkpoint {
-        Some(ck) => {
-            let shards = if ck.resume {
-                discover_shards(&ck.path)
-            } else {
-                Vec::new()
-            };
-            let restore = open_checkpoint(ck, &hashes, &shards);
-            if restore.error.is_none() {
-                // Everything the shards held is folded into the main
-                // file now; stale shards must not shadow future runs.
-                remove_shards(&shards);
-            }
-            for (i, run) in restore.restored.into_iter().enumerate() {
-                let Some(run) = run else { continue };
-                totals.absorb(&run.fingerprint.events);
-                if let Some(ev) = opts.events {
-                    ev(&SweepEvent::CellSkipped {
-                        index: i as u64,
-                        total: total as u64,
-                        config_hash: run.config_hash.clone(),
-                        label: jobs[i].label.clone(),
-                        seed: jobs[i].cfg.seed,
-                    });
-                }
-                restored_runs[i] = Some(run.clone());
-                slots[i] = Some(Ok(run));
-                resumed += 1;
-            }
-            if ck.resume {
-                if let Some(ev) = opts.events {
-                    ev(&SweepEvent::CheckpointResumed {
-                        path: ck.path.display().to_string(),
-                        cells: resumed as u64,
-                    });
-                }
-            }
-            checkpoint_error = restore.error;
-            restore.sink
-        }
-        None => None,
+    // left behind, *before* any spawned worker appends to its shard.
+    let shards = match &opts.checkpoint {
+        Some(ck) if ck.resume => discover_shards(&ck.path),
+        _ => Vec::new(),
     };
+    let ledger = CellLedger::open(
+        jobs,
+        opts.checkpoint.as_ref(),
+        &shards,
+        opts.progress,
+        opts.events,
+    );
+    if ledger.checkpoint_error().is_none() {
+        // Everything the shards held is folded into the main file now;
+        // stale shards must not shadow future runs.
+        remove_shards(&shards);
+    }
 
     // Longest-job-first over the cells still to run, estimated from
     // restored durations (canonical order on a cold start).
-    let pending_indices: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
-    let pending: VecDeque<usize> = longest_first(jobs, &pending_indices, &restored_runs).into();
+    let pending: VecDeque<usize> =
+        longest_first(jobs, &ledger.pending(), &ledger.known_runs()).into();
 
     let (inbox_tx, inbox_rx) = channel::<(u64, Envelope)>();
     let mut fleet = Fleet {
         jobs,
-        configs: &configs,
-        hashes: &hashes,
+        ledger,
         opts,
         transport,
         inbox_tx,
@@ -728,10 +625,6 @@ pub fn run_fleet(
         uid_to_slot: HashMap::new(),
         next_uid: 0,
         pending,
-        slots,
-        sink,
-        totals,
-        completed: resumed,
         attempts: vec![0; total],
         retries_left: vec![opts.max_cell_retries; total],
         dispatched: 0,
@@ -755,7 +648,7 @@ pub fn run_fleet(
         fleet.pump();
 
         let tick = Duration::from_millis(50);
-        while fleet.completed < total {
+        while !fleet.ledger.all_recorded() {
             match inbox_rx.recv_timeout(tick) {
                 Ok((uid, envelope)) => fleet.handle_envelope(uid, envelope),
                 Err(RecvTimeoutError::Timeout) => fleet.tick(),
@@ -774,33 +667,6 @@ pub fn run_fleet(
     }
 
     let wall_clock_secs = started.elapsed().as_secs_f64();
-    let checkpoint_error = checkpoint_error.or_else(|| fleet.sink.as_ref().and_then(|s| s.error()));
-    if let Some(err) = &checkpoint_error {
-        fleet.emit(SweepEvent::CheckpointFailed {
-            path: err.path.clone(),
-            error: err.error.clone(),
-        });
-    } else if let Some(ck) = &opts.checkpoint {
-        // Every completed cell is in the main checkpoint; this run's
-        // shards are consumed crash insurance.
-        remove_shards(&discover_shards(&ck.path));
-    }
-
-    let mut runs = Vec::with_capacity(total);
-    let mut errors = Vec::new();
-    let mut violations = 0u64;
-    for slot in fleet.slots {
-        match slot.expect("fleet left a job unresolved") {
-            Ok(run) => {
-                violations += run.violations;
-                runs.push(Some(run));
-            }
-            Err(err) => {
-                errors.push(err);
-                runs.push(None);
-            }
-        }
-    }
     let per_worker: Vec<WorkerUtilization> = fleet
         .workers
         .iter()
@@ -818,29 +684,24 @@ pub fn run_fleet(
             restarts: slot.restarts,
         })
         .collect();
-
-    Ok(FleetRun {
-        output: CellsOutput {
-            runs,
-            errors,
-            totals: fleet.totals,
-            violations,
-            resumed,
-            executed: total - resumed,
-            checkpoint_error,
-        },
-        stats: FleetStats {
-            transport: transport.label().to_string(),
-            workers: fleet.workers.len(),
-            dispatched: fleet.dispatched,
-            retries: fleet.retries,
-            config_pushes: fleet.config_pushes,
-            workers_lost: fleet.workers_lost,
-            worker_restarts: fleet.worker_restarts,
-            wall_clock_secs,
-            per_worker,
-        },
-    })
+    let stats = FleetStats {
+        transport: transport.label().to_string(),
+        workers: fleet.workers.len(),
+        dispatched: fleet.dispatched,
+        retries: fleet.retries,
+        config_pushes: fleet.config_pushes,
+        workers_lost: fleet.workers_lost,
+        worker_restarts: fleet.worker_restarts,
+        wall_clock_secs,
+        per_worker,
+    };
+    let output = fleet.ledger.finish();
+    if let (None, Some(ck)) = (&output.checkpoint_error, &opts.checkpoint) {
+        // Every completed cell is in the main checkpoint; this run's
+        // shards are consumed crash insurance.
+        remove_shards(&discover_shards(&ck.path));
+    }
+    Ok(FleetRun { output, stats })
 }
 
 /// Runs a [`SweepSpec`] on a worker fleet — the distributed
@@ -853,15 +714,8 @@ pub fn run_sweep_fleet(
 ) -> Result<(SweepOutput, FleetStats), FleetError> {
     let jobs = materialize_jobs(spec);
     let merged = FleetOptions {
-        workers: opts.workers,
         validate: opts.validate || spec.validate,
-        checkpoint: opts.checkpoint.clone(),
-        cell_timeout_secs: opts.cell_timeout_secs,
-        worker_timeout_secs: opts.worker_timeout_secs,
-        max_cell_retries: opts.max_cell_retries,
-        max_worker_restarts: opts.max_worker_restarts,
-        progress: opts.progress,
-        events: opts.events,
+        ..opts.clone()
     };
     let fleet = run_fleet(&jobs, transport, &merged)?;
     Ok((aggregate_sweep(spec, fleet.output), fleet.stats))

@@ -13,18 +13,23 @@
 //!   worker respawn budgets, checkpoint streaming and shard merge.
 //!   It only ever talks to [`transport::Transport`] /
 //!   [`transport::WorkerHandle`] trait objects.
-//! * [`subprocess`] is the first real backend: it spawns the thin
-//!   `dtn-fleet-worker` binary per worker slot and carries
-//!   [`protocol`] messages as length-prefixed frames over the child's
-//!   stdin/stdout.
-//! * [`thread`] is an in-process backend running the same worker loop
-//!   on a plain thread — zero-setup fallback and the reference
-//!   implementation the other transports are tested against.
+//!   Per-cell bookkeeping (checkpoint restore and merge, recording,
+//!   output assembly) is the same [`dtn_sim::sweep::CellLedger`] the
+//!   in-process [`dtn_sim::sweep::run_cells`] uses; the in-process
+//!   reference every transport is tested against is
+//!   [`dtn_sim::sweep::run_sweep_hardened`].
+//! * [`subprocess`] spawns the thin `dtn-fleet-worker` binary per
+//!   worker slot and carries [`protocol`] messages as length-prefixed
+//!   frames over the child's stdin/stdout.
 //! * [`tcp`] is the network backend: `dtn-fleet-worker --connect`
 //!   peers dial a listening coordinator, authenticate with a versioned
 //!   `Hello` (+ optional shared-secret token) and carry the same
 //!   protocol in length-prefixed frames. Late joiners revive dead
 //!   worker slots mid-sweep.
+//! * [`worker`] is the worker loop both backends' workers run; each
+//!   cell goes through [`dtn_sim::sweep::run_cell`].
+//! * [`cli`] parses the fleet flags every sweep front end shares and
+//!   runs a sweep in-process or on the fleet they describe.
 //!
 //! See DESIGN.md ("Fleet wire protocol") for the full message state
 //! machine and failure→retry semantics, and EXPERIMENTS.md for the
@@ -41,16 +46,17 @@
 //! per-worker shard survivors — resumes and aggregates bit-identically
 //! to an uninterrupted single-process run.
 
+pub mod cli;
 pub mod coordinator;
 pub mod merge;
 pub mod protocol;
 pub mod schedule;
 pub mod subprocess;
 pub mod tcp;
-pub mod thread;
 pub mod transport;
 pub mod worker;
 
+pub use cli::{FleetCli, TransportKind, FLEET_USAGE};
 pub use coordinator::{
     run_fleet, run_sweep_fleet, FleetOptions, FleetRun, FleetStats, WorkerUtilization,
 };
@@ -58,6 +64,5 @@ pub use merge::{discover_shards, shard_path};
 pub use protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 pub use subprocess::{locate_worker, SubprocessTransport};
 pub use tcp::{connect_worker_main, parse_socket_addr, LocalTcpWorkers, TcpTransport};
-pub use thread::ThreadTransport;
 pub use transport::{Envelope, FleetError, Transport, WorkerHandle};
 pub use worker::{worker_main, FaultHook, WorkerConfig};

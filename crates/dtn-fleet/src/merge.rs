@@ -4,12 +4,13 @@
 //! Subprocess workers stream every finished cell to a private *shard*
 //! file next to the main checkpoint (`ck.jsonl` →
 //! `ck.shard-<slot>.jsonl`). Shards are write-only crash insurance: on
-//! resume the coordinator discovers them, feeds them to
-//! [`dtn_sim::sweep::open_checkpoint`] as merge sources (main
+//! resume the coordinator discovers them, opens its
+//! [`dtn_sim::sweep::CellLedger`] with them as merge sources (main
 //! checkpoint first, so it wins dedup ties), and the rewrite folds
 //! every survivor — including torn tails — into the main file. The
-//! coordinator then deletes consumed shards; workers recreate them
-//! fresh on spawn.
+//! coordinator then deletes consumed shards; workers append to theirs
+//! (recreating it if deleted), so a worker that starts before the
+//! coordinator merged never wipes a survivor.
 
 use std::path::{Path, PathBuf};
 

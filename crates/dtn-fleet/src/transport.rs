@@ -1,12 +1,11 @@
 //! Transport abstraction: how the coordinator spawns workers and
 //! exchanges [`crate::protocol`] messages with them.
 //!
-//! The coordinator never touches processes, pipes or threads directly —
+//! The coordinator never touches processes, pipes or sockets directly —
 //! it drives [`Transport`] / [`WorkerHandle`] trait objects and reads a
 //! single mpsc channel of `(worker uid, Envelope)` pairs. That keeps
 //! every supervision policy (heartbeats, timeouts, retries, respawn)
-//! testable against the in-process [`crate::thread::ThreadTransport`]
-//! and reusable over future backends (e.g. TCP) without change.
+//! identical over the subprocess and TCP backends.
 
 use crate::protocol::{CoordinatorMsg, WorkerMsg};
 use std::sync::mpsc::Sender;
@@ -19,8 +18,8 @@ use std::sync::mpsc::Sender;
 pub enum Envelope {
     /// A parsed protocol message from the worker.
     Msg(WorkerMsg),
-    /// The worker's stream ended (process exit, pipe closed, thread
-    /// returned). Carries the exit code when the transport knows it.
+    /// The worker's stream ended (process exit, pipe or socket
+    /// closed). Carries the exit code when the transport knows it.
     Gone(Option<i32>),
 }
 
@@ -33,7 +32,7 @@ pub trait WorkerHandle: Send {
     fn send(&mut self, msg: &CoordinatorMsg) -> Result<(), FleetError>;
     /// OS process id, 0 when the backend has none.
     fn pid(&self) -> u64;
-    /// Tears the worker down (kill the process / signal the thread).
+    /// Tears the worker down (kill the process / close the socket).
     /// Idempotent; called on loss, shutdown and drop.
     fn kill(&mut self);
 }
@@ -56,7 +55,7 @@ pub trait Transport {
     /// already spawned — e.g. authenticated TCP connections queued by
     /// the listener. The coordinator polls this to revive dead worker
     /// slots when a late worker arrives mid-sweep. Backends that only
-    /// create workers on demand (subprocess, thread) report 0.
+    /// create workers on demand (subprocess) report 0.
     fn waiting_workers(&self) -> usize {
         0
     }

@@ -1,19 +1,19 @@
-//! The worker side of the protocol: a blocking stdin→stdout loop that
-//! executes one assignment at a time.
+//! The worker side of the protocol: a blocking loop that executes one
+//! assignment at a time.
 //!
 //! This module is transport-neutral plumbing: the `dtn-fleet-worker`
-//! binary calls [`worker_main`] over real stdio, and
-//! [`crate::thread::ThreadTransport`] reuses [`run_assignment`] for the
-//! in-process backend — both therefore produce bit-identical
-//! [`CellRun`] records for the same assignment.
+//! binary calls [`worker_main`] over real stdio or a TCP socket. Each
+//! cell runs through [`dtn_sim::sweep::run_cell`], the same
+//! panic-isolated runner the in-process sweep uses, so a worker's
+//! [`dtn_sim::sweep::CellRun`] records are bit-identical to
+//! `run_cells`' for the same job.
 
 use crate::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use dtn_sim::config::ScenarioConfig;
-use dtn_sim::sweep::{execute_job, panic_message, CellRun};
+use dtn_sim::sweep::run_cell;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,7 +61,7 @@ impl FaultHook {
     }
 }
 
-/// Configuration of one worker process/thread.
+/// Configuration of one worker process.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
     /// Heartbeat period, seconds (0 disables the heartbeat thread).
@@ -89,43 +89,19 @@ impl Default for WorkerConfig {
     }
 }
 
-/// Executes one assignment exactly as the in-process sweep runner
-/// would: same `execute_job`, same panic isolation, same [`CellRun`]
-/// record — bit-identical fingerprints by construction.
-pub fn run_assignment(
-    index: usize,
-    seed: u64,
-    config_hash: &str,
-    config: &str,
-    validate: bool,
-) -> WorkerMsg {
-    let cfg: ScenarioConfig = match serde_json::from_str(config) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            return WorkerMsg::Failed {
-                index,
-                config_hash: config_hash.to_string(),
-                panic: format!("config does not parse: {e}"),
-            };
-        }
-    };
-    let started = std::time::Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| execute_job(&cfg, validate, 1))) {
-        Ok((metrics, fingerprint, violations)) => WorkerMsg::Done {
-            run: CellRun {
-                index,
-                config_hash: config_hash.to_string(),
-                seed,
-                metrics,
-                fingerprint,
-                violations,
-                duration_secs: started.elapsed().as_secs_f64(),
-            },
-        },
-        Err(payload) => WorkerMsg::Failed {
+/// Executes one assignment through [`run_cell`], the runner the
+/// in-process sweep uses: a config that does not parse or a cell that
+/// panics becomes [`WorkerMsg::Failed`].
+pub fn run_assignment(index: usize, config_hash: &str, config: &str, validate: bool) -> WorkerMsg {
+    let outcome = serde_json::from_str::<ScenarioConfig>(config)
+        .map_err(|e| format!("config does not parse: {e}"))
+        .and_then(|cfg| run_cell(index, &cfg, config_hash, validate, 1));
+    match outcome {
+        Ok(run) => WorkerMsg::Done { run },
+        Err(panic) => WorkerMsg::Failed {
             index,
             config_hash: config_hash.to_string(),
-            panic: panic_message(payload.as_ref()),
+            panic,
         },
     }
 }
@@ -190,13 +166,13 @@ pub fn worker_main(
         None
     };
 
-    // Truncate-on-spawn: the coordinator merges leftover shards *before*
-    // spawning workers, so anything here is already consumed.
+    // Append, never truncate: a TCP worker may start before the
+    // coordinator has merged the shard it left behind last time, and
+    // the coordinator deletes shards itself once merged.
     let mut shard = cfg.shard.as_ref().and_then(|path| {
         std::fs::OpenOptions::new()
             .create(true)
-            .write(true)
-            .truncate(true)
+            .append(true)
             .open(path)
             .ok()
     });
@@ -222,7 +198,6 @@ pub fn worker_main(
             }
             CoordinatorMsg::Assign {
                 index,
-                seed,
                 config_hash,
                 validate,
                 ..
@@ -265,7 +240,7 @@ pub fn worker_main(
                     index,
                     config_hash: config_hash.clone(),
                 });
-                let reply = run_assignment(index, seed, &config_hash, &config, validate);
+                let reply = run_assignment(index, &config_hash, &config, validate);
                 if let (WorkerMsg::Done { run }, Some(file)) = (&reply, shard.as_mut()) {
                     let line = serde_json::to_string(run).expect("cell run serialises");
                     let _ = writeln!(file, "{line}").and_then(|()| file.flush());
@@ -315,8 +290,8 @@ mod tests {
     fn run_assignment_matches_in_process_execution() {
         let (config, hash) = smoke_assignment();
         let cfg: ScenarioConfig = serde_json::from_str(&config).expect("parse");
-        let (metrics, fingerprint, violations) = execute_job(&cfg, false, 1);
-        match run_assignment(4, cfg.seed, &hash, &config, false) {
+        let (metrics, fingerprint, violations) = dtn_sim::sweep::execute_job(&cfg, false, 1);
+        match run_assignment(4, &hash, &config, false) {
             WorkerMsg::Done { run } => {
                 assert_eq!(run.index, 4);
                 assert_eq!(run.config_hash, hash);
@@ -331,7 +306,7 @@ mod tests {
 
     #[test]
     fn unparseable_config_fails_soft() {
-        match run_assignment(0, 1, "cafe", "not json", false) {
+        match run_assignment(0, "cafe", "not json", false) {
             WorkerMsg::Failed { panic, .. } => assert!(panic.contains("config does not parse")),
             other => panic!("expected Failed, got {other:?}"),
         }

@@ -2,7 +2,7 @@
 //! distribution, multi-source checkpoint merge/resume, and supervision
 //! (worker kills, hangs, spawn failures) under fault injection.
 
-use dtn_fleet::{run_fleet, run_sweep_fleet, FleetOptions, SubprocessTransport, ThreadTransport};
+use dtn_fleet::{run_fleet, run_sweep_fleet, FleetOptions, SubprocessTransport};
 use dtn_sim::config::{presets, PolicyKind};
 use dtn_sim::sweep::{
     load_checkpoint, materialize_jobs, run_sweep_hardened, SweepAxis, SweepCheckpoint,
@@ -83,26 +83,6 @@ fn subprocess_fleet_matches_single_process_bit_identically() {
             .sum::<usize>(),
         8
     );
-}
-
-#[test]
-fn thread_fleet_matches_single_process_too() {
-    let spec = quick_spec();
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
-    let (out, stats) = run_sweep_fleet(
-        &spec,
-        &ThreadTransport::default(),
-        &FleetOptions {
-            workers: 3,
-            ..FleetOptions::default()
-        },
-    )
-    .expect("fleet runs");
-    assert!(out.errors.is_empty());
-    assert_eq!(out.runs, reference.runs);
-    assert_eq!(out.cells, reference.cells);
-    assert_eq!(out.totals, reference.totals);
-    assert_eq!(stats.transport, "thread");
 }
 
 #[test]
@@ -359,7 +339,7 @@ fn run_fleet_accepts_arbitrary_job_lists() {
     let reference = run_cells(jobs.clone(), &SweepOptions::default());
     let fleet = run_fleet(
         &jobs,
-        &ThreadTransport::default(),
+        &SubprocessTransport::new(worker_bin()),
         &FleetOptions {
             workers: 2,
             ..FleetOptions::default()
@@ -369,4 +349,102 @@ fn run_fleet_accepts_arbitrary_job_lists() {
     assert!(fleet.output.errors.is_empty());
     assert_eq!(fleet.output.runs, reference.runs);
     assert_eq!(fleet.output.totals, reference.totals);
+}
+
+#[test]
+fn resumed_checkpoint_records_identically_through_run_cells_and_run_fleet() {
+    // Both executors record into the same `CellLedger`: restoring the
+    // same torn checkpoint must give equal outputs, the same ledger
+    // events and the same repaired checkpoint file.
+    use dtn_sim::sweep::run_cells;
+    let spec = quick_spec();
+    let jobs = materialize_jobs(&spec);
+    let ck_full = temp_path("ledger-full");
+    let full = run_cells(
+        jobs.clone(),
+        &SweepOptions {
+            checkpoint: Some(SweepCheckpoint {
+                path: ck_full.clone(),
+                resume: false,
+            }),
+            ..SweepOptions::default()
+        },
+    );
+    assert!(full.errors.is_empty());
+    let body = std::fs::read_to_string(&ck_full).expect("full checkpoint");
+    let lines: Vec<&str> = body.lines().collect();
+    let torn = format!(
+        "{}\n{}",
+        lines[..3].join("\n"),
+        &lines[3][..lines[3].len() / 2]
+    );
+    let resume = |path: &PathBuf| {
+        std::fs::write(path, &torn).expect("write torn checkpoint");
+        Some(SweepCheckpoint {
+            path: path.clone(),
+            resume: true,
+        })
+    };
+
+    let local_kinds: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let record_local = |ev: &SweepEvent| local_kinds.lock().push(ev.kind());
+    let ck_local = temp_path("ledger-local");
+    let local = run_cells(
+        jobs.clone(),
+        &SweepOptions {
+            threads: 2,
+            checkpoint: resume(&ck_local),
+            events: Some(&record_local),
+            ..SweepOptions::default()
+        },
+    );
+
+    let fleet_kinds: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let record_fleet = |ev: &SweepEvent| fleet_kinds.lock().push(ev.kind());
+    let ck_fleet = temp_path("ledger-fleet");
+    let fleet = run_fleet(
+        &jobs,
+        &SubprocessTransport {
+            checkpoint: Some(ck_fleet.clone()),
+            ..SubprocessTransport::new(worker_bin())
+        },
+        &FleetOptions {
+            workers: 2,
+            checkpoint: resume(&ck_fleet),
+            events: Some(&record_fleet),
+            ..FleetOptions::default()
+        },
+    )
+    .expect("fleet runs");
+
+    assert_eq!(local.resumed, 3, "torn fourth line dropped");
+    assert_eq!(local.executed, 5);
+    assert_eq!(fleet.output, local, "equal CellsOutput");
+    assert_eq!(local.runs, full.runs, "bit-identical to uninterrupted");
+
+    // Supervision events are the fleet's own; everything the ledger
+    // emits must match kind for kind.
+    let ledger_kinds = |kinds: &Mutex<Vec<&'static str>>| {
+        let mut kinds: Vec<&'static str> = kinds
+            .lock()
+            .iter()
+            .copied()
+            .filter(|k| !matches!(*k, "worker_spawned" | "worker_lost" | "cell_dispatched"))
+            .collect();
+        kinds.sort_unstable();
+        kinds
+    };
+    let local_sorted = ledger_kinds(&local_kinds);
+    assert_eq!(local_sorted, ledger_kinds(&fleet_kinds));
+    let count = |kind: &str| local_sorted.iter().filter(|k| **k == kind).count();
+    assert_eq!(count("cell_skipped"), 3);
+    assert_eq!(count("checkpoint_resumed"), 1);
+    assert_eq!(count("cell_completed"), 5);
+    assert_eq!(local_sorted.len(), 9);
+
+    assert_eq!(load_checkpoint(&ck_local), load_checkpoint(&ck_fleet));
+    assert_eq!(load_checkpoint(&ck_local).len(), 8);
+    for path in [ck_full, ck_local, ck_fleet] {
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -6,9 +6,7 @@
 
 use dtn_fleet::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use dtn_fleet::worker::run_assignment;
-use dtn_fleet::{
-    run_sweep_fleet, FleetOptions, LocalTcpWorkers, TcpTransport, ThreadTransport, Transport,
-};
+use dtn_fleet::{run_sweep_fleet, FleetOptions, LocalTcpWorkers, TcpTransport, Transport};
 use dtn_sim::config::{presets, PolicyKind};
 use dtn_sim::sweep::{
     load_checkpoint, materialize_jobs, run_sweep_hardened, SweepAxis, SweepCheckpoint,
@@ -54,19 +52,10 @@ fn job_hashes(spec: &SweepSpec) -> Vec<String> {
 }
 
 #[test]
-fn tcp_fleet_matches_thread_reference_bit_identically() {
+fn tcp_fleet_matches_in_process_reference_bit_identically() {
     let spec = quick_spec();
     let reference = run_sweep_hardened(&spec, &SweepOptions::default());
     assert!(reference.errors.is_empty());
-    let (thread_out, _) = run_sweep_fleet(
-        &spec,
-        &ThreadTransport::default(),
-        &FleetOptions {
-            workers: 2,
-            ..FleetOptions::default()
-        },
-    )
-    .expect("thread fleet runs");
 
     let transport = TcpTransport::bind("127.0.0.1:0")
         .expect("bind")
@@ -94,10 +83,6 @@ fn tcp_fleet_matches_thread_reference_bit_identically() {
     assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
     assert_eq!(out.executed, 8);
     assert_eq!(out.runs, reference.runs, "bit-identical to in-process");
-    assert_eq!(
-        out.runs, thread_out.runs,
-        "bit-identical to ThreadTransport"
-    );
     assert_eq!(out.cells, reference.cells);
     assert_eq!(out.totals, reference.totals);
     assert_eq!(stats.transport, "tcp");
@@ -285,7 +270,6 @@ fn config_missing_nack_triggers_re_push() {
                 }
                 CoordinatorMsg::Assign {
                     index,
-                    seed,
                     config_hash,
                     validate,
                     ..
@@ -302,7 +286,7 @@ fn config_missing_nack_triggers_re_push() {
                         continue;
                     }
                     let config = configs.remove(&config_hash).expect("config was re-pushed");
-                    let reply = run_assignment(index, seed, &config_hash, &config, validate);
+                    let reply = run_assignment(index, &config_hash, &config, validate);
                     write_frame(&mut writer, &reply.to_line()).expect("reply");
                 }
                 CoordinatorMsg::Shutdown | CoordinatorMsg::Reject { .. } => break,

@@ -26,13 +26,15 @@
 //!   [`SweepCell`] and [`CellRun`].
 //!
 //! The runner is also *shard-able*: [`materialize_jobs`] turns a spec
-//! into the exact job list, [`execute_job`] runs a single fully-resolved
-//! job, [`aggregate_sweep`] folds an arbitrary [`CellsOutput`] back into
-//! the per-`(axis, policy)` cells, and [`open_checkpoint`] restores (and
-//! merges) prior checkpoint files for any job list. `dtn-fleet` builds
-//! its distributed coordinator/worker fan-out entirely out of these
-//! units, so a fleet sweep aggregates bit-identically to
-//! [`run_sweep_hardened`].
+//! into the exact job list, [`run_cell`] runs a single fully-resolved
+//! job under panic isolation, [`CellLedger`] does all per-job
+//! bookkeeping (checkpoint restore and merge, recording, lifecycle
+//! events, output assembly), and [`aggregate_sweep`] folds an arbitrary
+//! [`CellsOutput`] back into the per-`(axis, policy)` cells. Executors
+//! differ only in how they dispatch cells: [`run_cells`] pulls them on a
+//! local thread pool, `dtn-fleet` hands them to supervised workers. Both
+//! record into a [`CellLedger`], so a fleet sweep aggregates
+//! bit-identically to [`run_sweep_hardened`].
 //!
 //! Checkpoint I/O failures are *structured*, not fatal: a bad checkpoint
 //! path degrades the sweep to an uncheckpointed (but complete) run and
@@ -454,12 +456,8 @@ impl std::fmt::Display for CheckpointError {
 /// A streaming checkpoint writer that degrades instead of panicking: the
 /// first write failure disables further appends and is surfaced as a
 /// [`CheckpointError`].
-pub struct CheckpointSink {
+struct CheckpointSink {
     path: PathBuf,
-    state: Mutex<SinkState>,
-}
-
-struct SinkState {
     file: Option<File>,
     error: Option<CheckpointError>,
 }
@@ -468,38 +466,31 @@ impl CheckpointSink {
     /// Appends one finished run, flushing per cell so the file survives
     /// a kill right up to the last finished job. A write failure
     /// disables the sink (the sweep continues uncheckpointed).
-    pub fn append(&self, run: &CellRun) {
-        let line = serde_json::to_string(run).expect("cell run serialises");
-        let mut state = self.state.lock();
-        let Some(file) = state.file.as_mut() else {
+    fn append(&mut self, run: &CellRun) {
+        let Some(file) = self.file.as_mut() else {
             return;
         };
-        let outcome = writeln!(file, "{line}").and_then(|()| file.flush());
-        if let Err(e) = outcome {
-            state.file = None;
-            state.error = Some(CheckpointError {
+        let line = serde_json::to_string(run).expect("cell run serialises");
+        if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
+            self.file = None;
+            self.error = Some(CheckpointError {
                 path: self.path.display().to_string(),
                 error: e.to_string(),
             });
         }
     }
-
-    /// The first write error, if appending ever failed.
-    pub fn error(&self) -> Option<CheckpointError> {
-        self.state.lock().error.clone()
-    }
 }
 
 /// Result of [`open_checkpoint`]: restored per-job runs plus a live
 /// append sink (absent when the file could not be opened or rewritten).
-pub struct CheckpointRestore {
+struct CheckpointRestore {
     /// Append sink for newly finished runs (`None` after an open or
     /// rewrite failure — the sweep still runs, uncheckpointed).
-    pub sink: Option<CheckpointSink>,
+    sink: Option<CheckpointSink>,
     /// The open/rewrite failure, if any.
-    pub error: Option<CheckpointError>,
+    error: Option<CheckpointError>,
     /// Restored runs, indexed like the job list (reindexed to it).
-    pub restored: Vec<Option<CellRun>>,
+    restored: Vec<Option<CellRun>>,
 }
 
 /// Restores finished cells for a job list (identified by its canonical
@@ -519,7 +510,7 @@ pub struct CheckpointRestore {
 /// I/O failures never panic: restored entries are still returned (so
 /// resume works even from an unwritable file) and the error is recorded
 /// in [`CheckpointRestore::error`].
-pub fn open_checkpoint(
+fn open_checkpoint(
     ck: &SweepCheckpoint,
     hashes: &[String],
     merge_sources: &[PathBuf],
@@ -576,10 +567,8 @@ pub fn open_checkpoint(
         Ok(()) => CheckpointRestore {
             sink: Some(CheckpointSink {
                 path: ck.path.clone(),
-                state: Mutex::new(SinkState {
-                    file: Some(file),
-                    error: None,
-                }),
+                file: Some(file),
+                error: None,
             }),
             error: None,
             restored,
@@ -815,59 +804,271 @@ pub fn aggregate_sweep(spec: &SweepSpec, out: CellsOutput) -> SweepOutput {
     }
 }
 
+/// The per-job bookkeeping every sweep executor shares: canonical config
+/// JSON and hash per job, checkpoint restore (main file plus any merge
+/// sources), per-cell recording (checkpoint append, event totals,
+/// `CellCompleted`/`CellFailed`, progress), and the final
+/// [`CellsOutput`]. Executors own only dispatch: [`run_cells`] records
+/// from its pool threads, the `dtn-fleet` coordinator from its
+/// supervision loop. Recording takes `&self`, so the ledger can be
+/// shared across threads; callbacks run under its lock, one at a time.
+pub struct CellLedger<'a> {
+    jobs: &'a [CellJob],
+    /// Canonical config JSON per job: the replay payload, and (hashed)
+    /// the checkpoint resume key.
+    configs: Vec<String>,
+    hashes: Vec<String>,
+    progress: Option<&'a (dyn Fn(SweepProgress) + Sync)>,
+    events: Option<&'a (dyn Fn(&SweepEvent) + Sync)>,
+    open_error: Option<CheckpointError>,
+    resumed: usize,
+    state: Mutex<LedgerState>,
+}
+
+struct LedgerState {
+    slots: Vec<Option<Result<CellRun, CellError>>>,
+    totals: EventTotals,
+    completed: usize,
+    sink: Option<CheckpointSink>,
+}
+
+impl<'a> CellLedger<'a> {
+    /// Opens the ledger for `jobs`. With a checkpoint, finished cells are
+    /// restored from it plus `merge_sources` (e.g. per-worker shard
+    /// files), each emitting `CellSkipped` (and `CheckpointResumed` once
+    /// on resume); the file is then rewritten and kept for appending
+    /// (torn-tail repair and degradation semantics live in
+    /// `open_checkpoint`).
+    pub fn open(
+        jobs: &'a [CellJob],
+        checkpoint: Option<&SweepCheckpoint>,
+        merge_sources: &[PathBuf],
+        progress: Option<&'a (dyn Fn(SweepProgress) + Sync)>,
+        events: Option<&'a (dyn Fn(&SweepEvent) + Sync)>,
+    ) -> Self {
+        let configs: Vec<String> = jobs
+            .iter()
+            .map(|j| serde_json::to_string(&j.cfg).expect("config serialises"))
+            .collect();
+        let hashes: Vec<String> = configs.iter().map(|c| hash_config_json(c)).collect();
+        let mut ledger = CellLedger {
+            jobs,
+            configs,
+            hashes,
+            progress,
+            events,
+            open_error: None,
+            resumed: 0,
+            state: Mutex::new(LedgerState {
+                slots: (0..jobs.len()).map(|_| None).collect(),
+                totals: EventTotals::default(),
+                completed: 0,
+                sink: None,
+            }),
+        };
+        let Some(ck) = checkpoint else {
+            return ledger;
+        };
+        let restore = open_checkpoint(ck, &ledger.hashes, merge_sources);
+        let state = ledger.state.get_mut();
+        for (i, run) in restore.restored.into_iter().enumerate() {
+            let Some(run) = run else { continue };
+            state.totals.absorb(&run.fingerprint.events);
+            if let Some(ev) = events {
+                ev(&SweepEvent::CellSkipped {
+                    index: i as u64,
+                    total: jobs.len() as u64,
+                    config_hash: run.config_hash.clone(),
+                    label: jobs[i].label.clone(),
+                    seed: jobs[i].cfg.seed,
+                });
+            }
+            state.slots[i] = Some(Ok(run));
+            state.completed += 1;
+        }
+        state.sink = restore.sink;
+        ledger.resumed = state.completed;
+        if let (true, Some(ev)) = (ck.resume, events) {
+            ev(&SweepEvent::CheckpointResumed {
+                path: ck.path.display().to_string(),
+                cells: ledger.resumed as u64,
+            });
+        }
+        ledger.open_error = restore.error;
+        ledger
+    }
+
+    /// Canonical config hash of job `i` (the resume key).
+    pub fn config_hash(&self, i: usize) -> &str {
+        &self.hashes[i]
+    }
+
+    /// Canonical config JSON of job `i`.
+    pub fn config(&self, i: usize) -> &str {
+        &self.configs[i]
+    }
+
+    /// Whether job `i` already has an outcome (restored or recorded).
+    pub fn is_recorded(&self, i: usize) -> bool {
+        self.state.lock().slots[i].is_some()
+    }
+
+    /// Whether every job has an outcome.
+    pub fn all_recorded(&self) -> bool {
+        self.state.lock().completed == self.jobs.len()
+    }
+
+    /// Indices of the jobs without an outcome, in job order.
+    pub fn pending(&self) -> Vec<usize> {
+        let state = self.state.lock();
+        (0..self.jobs.len())
+            .filter(|&i| state.slots[i].is_none())
+            .collect()
+    }
+
+    /// The successful runs recorded so far, job-indexed (right after
+    /// [`CellLedger::open`]: the restored ones).
+    pub fn known_runs(&self) -> Vec<Option<CellRun>> {
+        let state = self.state.lock();
+        state
+            .slots
+            .iter()
+            .map(|slot| slot.as_ref().and_then(|s| s.as_ref().ok()).cloned())
+            .collect()
+    }
+
+    /// A structured failure of job `i` with the given panic message.
+    pub fn cell_error(&self, i: usize, panic: String) -> CellError {
+        let job = &self.jobs[i];
+        CellError {
+            index: i,
+            config_hash: self.hashes[i].clone(),
+            label: job.label.clone(),
+            policy: job.policy.clone(),
+            seed: job.cfg.seed,
+            panic,
+            config: self.configs[i].clone(),
+        }
+    }
+
+    /// Records the outcome of job `i`: a success is appended to the
+    /// checkpoint and folded into the totals, then `CellCompleted` or
+    /// `CellFailed` and the progress callback fire. The first outcome
+    /// per job wins; a later one (a late result racing a retry) is
+    /// dropped and `false` returned.
+    pub fn record(&self, i: usize, outcome: Result<CellRun, CellError>) -> bool {
+        let mut state = self.state.lock();
+        if state.slots[i].is_some() {
+            return false;
+        }
+        let total = self.jobs.len() as u64;
+        match &outcome {
+            Ok(run) => {
+                if let Some(sink) = &mut state.sink {
+                    sink.append(run);
+                }
+                state.totals.absorb(&run.fingerprint.events);
+                if let Some(ev) = self.events {
+                    ev(&SweepEvent::CellCompleted {
+                        index: i as u64,
+                        total,
+                        config_hash: run.config_hash.clone(),
+                        label: self.jobs[i].label.clone(),
+                        seed: run.seed,
+                        violations: run.violations,
+                        duration_ms: (run.duration_secs * 1_000.0) as u64,
+                    });
+                }
+            }
+            Err(err) => {
+                if let Some(ev) = self.events {
+                    ev(&SweepEvent::CellFailed {
+                        index: i as u64,
+                        total,
+                        config_hash: err.config_hash.clone(),
+                        label: err.label.clone(),
+                        seed: err.seed,
+                        panic: err.panic.clone(),
+                    });
+                }
+            }
+        }
+        state.slots[i] = Some(outcome);
+        state.completed += 1;
+        if let Some(progress) = self.progress {
+            progress(SweepProgress {
+                completed: state.completed,
+                total: self.jobs.len(),
+                axis_label: self.jobs[i].label.clone(),
+                policy: self.jobs[i].policy.clone(),
+            });
+        }
+        true
+    }
+
+    /// The checkpoint failure so far: the open/rewrite error, else the
+    /// first append error.
+    pub fn checkpoint_error(&self) -> Option<CheckpointError> {
+        self.open_error.clone().or_else(|| {
+            let state = self.state.lock();
+            state.sink.as_ref().and_then(|s| s.error.clone())
+        })
+    }
+
+    /// Assembles the job-ordered output, emitting `CheckpointFailed` if
+    /// the checkpoint degraded.
+    ///
+    /// # Panics
+    /// Panics if a job has no outcome.
+    pub fn finish(self) -> CellsOutput {
+        let checkpoint_error = self.checkpoint_error();
+        if let (Some(err), Some(ev)) = (&checkpoint_error, self.events) {
+            ev(&SweepEvent::CheckpointFailed {
+                path: err.path.clone(),
+                error: err.error.clone(),
+            });
+        }
+        let state = self.state.into_inner();
+        let mut runs = Vec::with_capacity(state.slots.len());
+        let mut errors = Vec::new();
+        let mut violations = 0u64;
+        for slot in state.slots {
+            match slot.expect("job not executed") {
+                Ok(run) => {
+                    violations += run.violations;
+                    runs.push(Some(run));
+                }
+                Err(err) => {
+                    errors.push(err);
+                    runs.push(None);
+                }
+            }
+        }
+        CellsOutput {
+            runs,
+            errors,
+            totals: state.totals,
+            violations,
+            resumed: self.resumed,
+            executed: self.jobs.len() - self.resumed,
+            checkpoint_error,
+        }
+    }
+}
+
 /// Runs an arbitrary list of fully-resolved scenarios (the generic core
 /// behind [`run_sweep_hardened`] and the `dtn-fuzz` bin) with panic
-/// isolation and optional validation + checkpoint/resume.
+/// isolation and optional validation + checkpoint/resume: a
+/// [`CellLedger`] plus a pull loop over a crossbeam scoped-thread pool.
 pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
-    let total = jobs.len();
-    // Canonical config JSON per job: the replay payload, and (hashed)
-    // the checkpoint resume key.
-    let configs: Vec<String> = jobs
-        .iter()
-        .map(|j| serde_json::to_string(&j.cfg).expect("config serialises"))
-        .collect();
-    let hashes: Vec<String> = configs.iter().map(|c| hash_config_json(c)).collect();
-
-    let mut slots: Vec<Option<Result<CellRun, CellError>>> = (0..total).map(|_| None).collect();
-    let mut totals = EventTotals::default();
-    let mut resumed = 0usize;
-
-    // Restore finished cells from the checkpoint, then rewrite it from
-    // the parsed entries and keep the sink for appending (torn-tail
-    // repair and degradation semantics live in `open_checkpoint`).
-    let mut checkpoint_error = None;
-    let sink: Option<CheckpointSink> = match &opts.checkpoint {
-        Some(ck) => {
-            let restore = open_checkpoint(ck, &hashes, &[]);
-            for (i, run) in restore.restored.into_iter().enumerate() {
-                let Some(run) = run else { continue };
-                totals.absorb(&run.fingerprint.events);
-                if let Some(ev) = opts.events {
-                    ev(&SweepEvent::CellSkipped {
-                        index: i as u64,
-                        total: total as u64,
-                        config_hash: run.config_hash.clone(),
-                        label: jobs[i].label.clone(),
-                        seed: jobs[i].cfg.seed,
-                    });
-                }
-                slots[i] = Some(Ok(run));
-                resumed += 1;
-            }
-            if ck.resume {
-                if let Some(ev) = opts.events {
-                    ev(&SweepEvent::CheckpointResumed {
-                        path: ck.path.display().to_string(),
-                        cells: resumed as u64,
-                    });
-                }
-            }
-            checkpoint_error = restore.error;
-            restore.sink
-        }
-        None => None,
-    };
-
+    let ledger = CellLedger::open(
+        &jobs,
+        opts.checkpoint.as_ref(),
+        &[],
+        opts.progress,
+        opts.events,
+    );
+    let pending = ledger.pending();
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -875,90 +1076,20 @@ pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
     } else {
         opts.threads
     };
-    let pending = total - resumed;
     let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(resumed);
-    let results: Mutex<Vec<Option<Result<CellRun, CellError>>>> = Mutex::new(slots);
-    let shared_totals: Mutex<EventTotals> = Mutex::new(totals);
-
     crossbeam::scope(|scope| {
-        for _ in 0..threads.min(pending.max(1)) {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                if results.lock()[i].is_some() {
-                    continue; // restored from the checkpoint
-                }
-                let job = &jobs[i];
-                // Panic isolation: a failing cell must not take down
-                // the sweep (nor this worker, which keeps pulling
-                // jobs). The captured state is only read on success.
-                let started = std::time::Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    execute_job(&job.cfg, opts.validate, opts.world_threads)
-                }));
-                let slot = match outcome {
-                    Ok((metrics, fingerprint, violations)) => {
-                        let run = CellRun {
-                            index: i,
-                            config_hash: hashes[i].clone(),
-                            seed: job.cfg.seed,
-                            metrics,
-                            fingerprint,
-                            violations,
-                            duration_secs: started.elapsed().as_secs_f64(),
-                        };
-                        if let Some(sink) = &sink {
-                            sink.append(&run);
-                        }
-                        shared_totals.lock().absorb(&run.fingerprint.events);
-                        if let Some(ev) = opts.events {
-                            ev(&SweepEvent::CellCompleted {
-                                index: i as u64,
-                                total: total as u64,
-                                config_hash: run.config_hash.clone(),
-                                label: job.label.clone(),
-                                seed: run.seed,
-                                violations: run.violations,
-                                duration_ms: (run.duration_secs * 1_000.0) as u64,
-                            });
-                        }
-                        Ok(run)
-                    }
-                    Err(payload) => {
-                        let err = CellError {
-                            index: i,
-                            config_hash: hashes[i].clone(),
-                            label: job.label.clone(),
-                            policy: job.policy.clone(),
-                            seed: job.cfg.seed,
-                            panic: panic_message(payload.as_ref()),
-                            config: configs[i].clone(),
-                        };
-                        if let Some(ev) = opts.events {
-                            ev(&SweepEvent::CellFailed {
-                                index: i as u64,
-                                total: total as u64,
-                                config_hash: err.config_hash.clone(),
-                                label: err.label.clone(),
-                                seed: err.seed,
-                                panic: err.panic.clone(),
-                            });
-                        }
-                        Err(err)
-                    }
-                };
-                results.lock()[i] = Some(slot);
-                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(progress) = opts.progress {
-                    progress(SweepProgress {
-                        completed: done,
-                        total,
-                        axis_label: job.label.clone(),
-                        policy: job.policy.clone(),
-                    });
+        for _ in 0..threads.min(pending.len().max(1)) {
+            scope.spawn(|_| {
+                while let Some(&i) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let outcome = run_cell(
+                        i,
+                        &jobs[i].cfg,
+                        ledger.config_hash(i),
+                        opts.validate,
+                        opts.world_threads,
+                    )
+                    .map_err(|panic| ledger.cell_error(i, panic));
+                    ledger.record(i, outcome);
                 }
             });
         }
@@ -966,38 +1097,34 @@ pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
     // The workers themselves cannot panic (jobs run under
     // catch_unwind); only callback panics propagate here.
     .expect("sweep observer panicked");
+    ledger.finish()
+}
 
-    let mut runs = Vec::with_capacity(total);
-    let mut errors = Vec::new();
-    let mut violations = 0u64;
-    for slot in results.into_inner() {
-        match slot.expect("job not executed") {
-            Ok(run) => {
-                violations += run.violations;
-                runs.push(Some(run));
-            }
-            Err(err) => {
-                errors.push(err);
-                runs.push(None);
-            }
-        }
-    }
-    let checkpoint_error = checkpoint_error.or_else(|| sink.as_ref().and_then(|s| s.error()));
-    if let (Some(err), Some(ev)) = (&checkpoint_error, opts.events) {
-        ev(&SweepEvent::CheckpointFailed {
-            path: err.path.clone(),
-            error: err.error.clone(),
-        });
-    }
-    CellsOutput {
-        runs,
-        errors,
-        totals: shared_totals.into_inner(),
+/// Runs job `index` — the one panic-isolated, timed cell runner every
+/// executor (the in-process pool, `dtn-fleet` workers) calls. A panic
+/// becomes `Err` with its message, so a failing cell never takes down
+/// the sweep or the worker running it.
+pub fn run_cell(
+    index: usize,
+    cfg: &ScenarioConfig,
+    config_hash: &str,
+    validate: bool,
+    world_threads: usize,
+) -> Result<CellRun, String> {
+    let started = std::time::Instant::now();
+    let (metrics, fingerprint, violations) = catch_unwind(AssertUnwindSafe(|| {
+        execute_job(cfg, validate, world_threads)
+    }))
+    .map_err(|payload| panic_message(payload.as_ref()))?;
+    Ok(CellRun {
+        index,
+        config_hash: config_hash.to_string(),
+        seed: cfg.seed,
+        metrics,
+        fingerprint,
         violations,
-        resumed,
-        executed: total - resumed,
-        checkpoint_error,
-    }
+        duration_secs: started.elapsed().as_secs_f64(),
+    })
 }
 
 /// Builds and runs one world — the single shard-able unit of work every

@@ -61,14 +61,16 @@
 //!
 //! `--workers N` distributes the sweep over N `dtn-fleet-worker`
 //! subprocesses instead of in-process threads (same output,
-//! bit-identical fingerprints). The coordinator heartbeat-monitors
-//! workers, re-dispatches cells lost to dead or hung workers
-//! (`--cell-timeout`, `--worker-timeout`, `--retries`), and merges
-//! leftover per-worker shard checkpoints on `--resume`. `--worker-bin`
-//! overrides the worker binary (default: `dtn-fleet-worker` next to
-//! this executable, or `$DTN_FLEET_WORKER`). Fleet workers run each
-//! cell on one thread, so `--workers` rejects `--threads` and
-//! `--world-threads` (exit 2).
+//! bit-identical fingerprints). The fleet flags are parsed and run by
+//! `dtn_fleet::FleetCli`, shared with the figure binaries. The
+//! coordinator heartbeat-monitors workers, re-dispatches cells lost to
+//! dead or hung workers (`--cell-timeout`, `--worker-timeout`,
+//! `--retries`), and merges leftover per-worker shard checkpoints on
+//! `--resume`. `--worker-bin` overrides the worker binary (default:
+//! `dtn-fleet-worker` next to this executable, or `$DTN_FLEET_WORKER`);
+//! `--worker-arg ARG` (repeatable) passes ARG to every worker. Fleet
+//! workers run each cell on one thread, so `--workers` rejects
+//! `--threads` and `--world-threads` (exit 2).
 //!
 //! `--transport tcp` listens on `--listen ADDR` (default
 //! `127.0.0.1:0`; the bound address is printed) instead of spawning
@@ -78,13 +80,11 @@
 //! workers. Output stays bit-identical to every other backend. See
 //! EXPERIMENTS.md ("Multi-host sweeps over TCP") for the runbook.
 
-use sdsrp::fleet::{
-    locate_worker, run_sweep_fleet, FleetOptions, SubprocessTransport, TcpTransport, Transport,
-};
+use sdsrp::fleet::{FleetCli, FLEET_USAGE};
 use sdsrp::sim::config::{presets, ImmunityMode, PolicyKind, RoutingKind, ScenarioConfig};
 use sdsrp::sim::output::{Metric, SeriesTable};
 use sdsrp::sim::replay::{manifest_for_run, replay_manifest};
-use sdsrp::sim::sweep::{run_sweep_hardened, SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec};
+use sdsrp::sim::sweep::{SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec};
 use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::telemetry::{JsonlSink, Recorder, RunManifest};
 use sdsrp::validate::ValidateConfig;
@@ -103,10 +103,7 @@ fn usage() -> ! {
          \t[--threads N] [--world-threads N]\n\
          \t[--sweep copies|buffer|genrate|occupancy [--seeds N]\n\
          \t\t[--validate-cells] [--checkpoint FILE [--resume]]\n\
-         \t\t[--workers N [--worker-bin FILE] [--cell-timeout SECS]\n\
-         \t\t[--worker-timeout SECS] [--retries N] [--worker-arg ARG]...\n\
-         \t\t[--transport subprocess|tcp] [--listen ADDR] [--token SECRET]\n\
-         \t\t[--accept-timeout SECS]]]\n\
+         \t\t{FLEET_USAGE}]\n\
          \n\
          --threads N: single runs execute the world's parallel tick phases\n\
          on N threads; in --sweep mode it fans cells out across N workers\n\
@@ -117,33 +114,9 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// Fleet-distribution knobs of `--sweep` mode (`--workers 0` = run
-/// in-process).
-struct FleetCli {
-    workers: usize,
-    worker_bin: Option<String>,
-    cell_timeout: f64,
-    worker_timeout: f64,
-    retries: u32,
-    /// Extra CLI arguments for every worker (repeatable `--worker-arg`;
-    /// CI uses this for the `--fail-once`/`--hang-once` fault hooks).
-    worker_args: Vec<String>,
-    /// `subprocess` (default) spawns workers locally; `tcp` listens and
-    /// waits for `dtn-fleet-worker --connect` peers instead.
-    transport: String,
-    /// `--listen` bind address for `--transport tcp` (default
-    /// `127.0.0.1:0`; the chosen port is printed to stderr).
-    listen: String,
-    /// Shared-secret handshake token for `--transport tcp`.
-    token: Option<String>,
-    /// How long to wait for each of the first N workers to dial in.
-    accept_timeout: f64,
-}
-
 /// `--sweep` mode: one paper axis x the paper's four policies through
-/// the hardened runner (in-process threads, or a subprocess worker
-/// fleet with `--workers N`). Prints the three paper metrics as
-/// markdown.
+/// the hardened runner (in-process threads, or a worker fleet with
+/// `--workers N`). Prints the three paper metrics as markdown.
 #[allow(clippy::too_many_arguments)]
 fn run_sweep_mode(
     base: ScenarioConfig,
@@ -203,101 +176,10 @@ fn run_sweep_mode(
         path: path.into(),
         resume,
     });
-    let out = if fleet.workers > 0 {
-        let transport: Box<dyn Transport> = match fleet.transport.as_str() {
-            "tcp" => {
-                let tcp = TcpTransport::bind(&fleet.listen)
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        exit(2);
-                    })
-                    .with_token(fleet.token.clone())
-                    .with_timeouts(fleet.accept_timeout, fleet.worker_timeout.max(1.0));
-                tcp.expect_workers(fleet.workers);
-                eprintln!(
-                    "fleet: listening on {} (token {}), waiting for {} worker(s) \
-                     to `dtn-fleet-worker --connect`",
-                    tcp.local_addr(),
-                    if fleet.token.is_some() {
-                        "required"
-                    } else {
-                        "none"
-                    },
-                    fleet.workers
-                );
-                Box::new(tcp)
-            }
-            "subprocess" => {
-                let worker_bin = match &fleet.worker_bin {
-                    Some(path) => std::path::PathBuf::from(path),
-                    None => locate_worker().unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        exit(2);
-                    }),
-                };
-                Box::new(SubprocessTransport {
-                    checkpoint: sweep_checkpoint.as_ref().map(|ck| ck.path.clone()),
-                    extra_args: fleet.worker_args.clone(),
-                    ..SubprocessTransport::new(worker_bin)
-                })
-            }
-            other => {
-                eprintln!("unknown transport {other:?} (subprocess|tcp)");
-                usage()
-            }
-        };
-        let events = |ev: &sdsrp::telemetry::SweepEvent| {
-            use sdsrp::telemetry::SweepEvent as E;
-            if matches!(ev, E::WorkerSpawned { .. } | E::WorkerLost { .. }) {
-                eprintln!("\r{}    ", ev.to_jsonl());
-            }
-        };
-        let (out, stats) = run_sweep_fleet(
+    let out = fleet
+        .run_sweep(
             &spec,
-            transport.as_ref(),
-            &FleetOptions {
-                workers: fleet.workers,
-                checkpoint: sweep_checkpoint,
-                cell_timeout_secs: fleet.cell_timeout,
-                worker_timeout_secs: fleet.worker_timeout,
-                max_cell_retries: fleet.retries,
-                progress: Some(&progress),
-                events: Some(&events),
-                ..FleetOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
-        eprintln!(
-            "\rfleet: {} workers ({}), {} dispatched, {} retries, {} lost, {:.1}s wall",
-            stats.workers,
-            stats.transport,
-            stats.dispatched,
-            stats.retries,
-            stats.workers_lost,
-            stats.wall_clock_secs
-        );
-        for w in &stats.per_worker {
-            eprintln!(
-                "fleet: worker {} (pid {}) {} cells, {:.1}% busy{}",
-                w.worker,
-                w.pid,
-                w.cells_completed,
-                w.utilization * 100.0,
-                if w.restarts > 0 {
-                    format!(", {} restarts", w.restarts)
-                } else {
-                    String::new()
-                }
-            );
-        }
-        out
-    } else {
-        run_sweep_hardened(
-            &spec,
-            &SweepOptions {
+            SweepOptions {
                 threads,
                 world_threads,
                 checkpoint: sweep_checkpoint,
@@ -305,7 +187,10 @@ fn run_sweep_mode(
                 ..SweepOptions::default()
             },
         )
-    };
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2);
+        });
     eprintln!(
         "\rsweep: {} runs ({} executed, {} resumed), {} events",
         out.runs.len(),
@@ -588,18 +473,7 @@ fn main() {
     let mut validate_cells = false;
     let mut checkpoint: Option<String> = None;
     let mut resume = false;
-    let mut fleet = FleetCli {
-        workers: 0,
-        worker_bin: None,
-        cell_timeout: 0.0,
-        worker_timeout: 30.0,
-        retries: 2,
-        worker_args: Vec::new(),
-        transport: "subprocess".into(),
-        listen: "127.0.0.1:0".into(),
-        token: None,
-        accept_timeout: 30.0,
-    };
+    let mut fleet = FleetCli::default();
     type Override = Box<dyn Fn(&mut ScenarioConfig)>;
     let mut overrides: Vec<Override> = Vec::new();
 
@@ -727,35 +601,22 @@ fn main() {
             "--validate-cells" => validate_cells = true,
             "--checkpoint" => checkpoint = Some(next(&args, &mut i)),
             "--resume" => resume = true,
-            "--workers" => {
-                fleet.workers = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--worker-bin" => fleet.worker_bin = Some(next(&args, &mut i)),
-            "--cell-timeout" => {
-                fleet.cell_timeout = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--worker-timeout" => {
-                fleet.worker_timeout = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--retries" => {
-                fleet.retries = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--worker-arg" => fleet.worker_args.push(next(&args, &mut i)),
-            "--transport" => fleet.transport = next(&args, &mut i),
-            "--listen" => fleet.listen = next(&args, &mut i),
-            "--token" => fleet.token = Some(next(&args, &mut i)),
-            "--accept-timeout" => {
-                fleet.accept_timeout = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage()
-            }
+            other => match fleet.parse_flag(&args, &mut i) {
+                Ok(true) => {}
+                Ok(false) => {
+                    eprintln!("unknown argument {other:?}");
+                    usage()
+                }
+                Err(e) => {
+                    eprintln!("{e}");
+                    usage()
+                }
+            },
         }
         i += 1;
     }
-    if let Some(flag) = threads_flag.filter(|_| fleet.workers > 0) {
+    if let Some(flag) = threads_flag.filter(|_| fleet.options.workers > 0) {
         eprintln!(
             "--workers cannot be combined with {flag}: fleet workers run each cell on one thread"
         );

@@ -39,6 +39,13 @@ pub trait BufferPolicy: Send {
 
     /// Whether this node is willing to receive `msg` at all (SDSRP
     /// refuses messages in its dropped list). Default: accept.
+    ///
+    /// **Contract:** the answer may depend only on state that changes
+    /// through this trait's hooks (contacts, drops, gossip, reset) or
+    /// the node's buffer, never on `now` alone. The simulator retries
+    /// an idle link only after one of its endpoints changed; a refusal
+    /// that turned into acceptance with the mere passage of time would
+    /// go unnoticed until the next change.
     fn accepts(&mut self, _now: SimTime, _msg: MessageId) -> bool {
         true
     }
@@ -141,6 +148,16 @@ impl PriorityCacheStats {
         self.hits += other.hits;
         self.incremental += other.incremental;
         self.misses += other.misses;
+    }
+
+    /// Component-wise growth since `earlier`, a snapshot of the same
+    /// counters (which only grow between cache toggles).
+    pub fn since(self, earlier: PriorityCacheStats) -> PriorityCacheStats {
+        PriorityCacheStats {
+            hits: self.hits - earlier.hits,
+            incremental: self.incremental - earlier.incremental,
+            misses: self.misses - earlier.misses,
+        }
     }
 }
 

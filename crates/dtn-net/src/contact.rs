@@ -11,7 +11,7 @@ use dtn_core::grid::SpatialGrid;
 use dtn_core::ids::{NodeId, NodePair};
 use dtn_core::pool::Pool;
 use dtn_core::time::SimTime;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
 /// A contact state change between a pair of nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,13 +50,24 @@ impl ContactEvent {
 
 /// Tracks which node pairs are currently in range and diffs tick over
 /// tick.
+///
+/// The live pairs are a sorted `Vec`. Each update sorts the tick's
+/// fresh pairs once, walks both lists in one linear merge (pairs only
+/// in the old list go down, pairs only in the fresh list come up) and
+/// then swaps the two buffers, so a tick costs O(p log p) for p pairs
+/// in range and allocates nothing in steady state.
 #[derive(Debug, Clone)]
 pub struct ContactTracker {
     grid: SpatialGrid,
     range: f64,
-    /// Currently-connected pairs (ordered for deterministic iteration).
-    current: BTreeSet<NodePair>,
+    /// Currently-connected pairs, ascending.
+    current: Vec<NodePair>,
+    /// This tick's pairs while diffing; last tick's afterwards.
+    fresh: Vec<NodePair>,
+    /// The grid's raw pair output.
     scratch_pairs: Vec<(NodeId, NodeId)>,
+    /// Up events held back until every Down has been emitted.
+    scratch_ups: Vec<NodePair>,
 }
 
 impl ContactTracker {
@@ -67,8 +78,10 @@ impl ContactTracker {
         ContactTracker {
             grid: SpatialGrid::new(bounds, range),
             range,
-            current: BTreeSet::new(),
+            current: Vec::new(),
+            fresh: Vec::new(),
             scratch_pairs: Vec::new(),
+            scratch_ups: Vec::new(),
         }
     }
 
@@ -85,8 +98,8 @@ impl ContactTracker {
     /// Bit-identical to the serial path at any thread count: bands are
     /// ascending contiguous row ranges merged in band order (which
     /// reproduces the serial scan order exactly — see
-    /// [`SpatialGrid::pairs_within_rows`]), and the pair set is diffed
-    /// through an ordered set anyway.
+    /// [`SpatialGrid::pairs_within_rows`]), and the pair list is sorted
+    /// before the diff anyway.
     pub fn update_pooled(
         &mut self,
         time: SimTime,
@@ -111,24 +124,45 @@ impl ContactTracker {
             }
             _ => self.grid.pairs_within(self.range, &mut self.scratch_pairs),
         }
-        let fresh: BTreeSet<NodePair> = self
-            .scratch_pairs
-            .iter()
-            .map(|&(a, b)| NodePair::new(a, b))
-            .collect();
+        self.fresh.clear();
+        self.fresh
+            .extend(self.scratch_pairs.iter().map(|&(a, b)| NodePair::new(a, b)));
+        self.fresh.sort_unstable();
 
-        for &pair in self.current.difference(&fresh) {
-            out.push(ContactEvent::Down { pair, time });
+        // One merge pass: Downs go straight out, Ups wait for the end.
+        let ups = &mut self.scratch_ups;
+        ups.clear();
+        let (old, new) = (&self.current, &self.fresh);
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            match old[i].cmp(&new[j]) {
+                Ordering::Less => {
+                    out.push(ContactEvent::Down { pair: old[i], time });
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    ups.push(new[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        for &pair in fresh.difference(&self.current) {
-            out.push(ContactEvent::Up { pair, time });
-        }
-        self.current = fresh;
+        out.extend(
+            old[i..]
+                .iter()
+                .map(|&pair| ContactEvent::Down { pair, time }),
+        );
+        ups.extend_from_slice(&new[j..]);
+        out.extend(ups.iter().map(|&pair| ContactEvent::Up { pair, time }));
+        std::mem::swap(&mut self.current, &mut self.fresh);
     }
 
     /// Whether `pair` is currently in range.
     pub fn connected(&self, pair: NodePair) -> bool {
-        self.current.contains(&pair)
+        self.current.binary_search(&pair).is_ok()
     }
 
     /// Currently connected pairs in sorted order.
@@ -144,10 +178,11 @@ impl ContactTracker {
     /// Emits a final Down event for every live contact (end of
     /// simulation), clearing the state.
     pub fn close_all(&mut self, time: SimTime, out: &mut Vec<ContactEvent>) {
-        for &pair in &self.current {
-            out.push(ContactEvent::Down { pair, time });
-        }
-        self.current.clear();
+        out.extend(
+            self.current
+                .drain(..)
+                .map(|pair| ContactEvent::Down { pair, time }),
+        );
     }
 
     /// Forces every contact involving `node` down at `time` (the node's
@@ -155,25 +190,20 @@ impl ContactTracker {
     /// sorted-pair order. Subsequent [`update`](Self::update) calls see
     /// the pairs as fresh if the node comes back into range.
     pub fn drop_node(&mut self, node: NodeId, time: SimTime, out: &mut Vec<ContactEvent>) {
-        // BTreeSet iteration is sorted, so retained order is already
-        // deterministic; collect the doomed pairs first to keep the
-        // borrow checker happy.
-        let doomed: Vec<NodePair> = self
-            .current
-            .iter()
-            .copied()
-            .filter(|p| p.lo() == node || p.hi() == node)
-            .collect();
-        for pair in doomed {
-            self.current.remove(&pair);
-            out.push(ContactEvent::Down { pair, time });
-        }
+        self.current.retain(|&pair| {
+            let doomed = pair.lo() == node || pair.hi() == node;
+            if doomed {
+                out.push(ContactEvent::Down { pair, time });
+            }
+            !doomed
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -434,6 +464,82 @@ mod tests {
             let grid_pairs: BTreeSet<NodePair> = tr.current_contacts().collect();
             let expect = naive_pairs(&positions, range);
             proptest::prop_assert_eq!(grid_pairs, expect);
+        }
+    }
+
+    /// The set-based tracker this one replaced: fresh pairs into a
+    /// `BTreeSet`, Downs = old minus fresh, Ups = fresh minus old.
+    #[derive(Default)]
+    struct SetReference {
+        current: BTreeSet<NodePair>,
+    }
+
+    impl SetReference {
+        fn update(
+            &mut self,
+            time: SimTime,
+            fresh: BTreeSet<NodePair>,
+            out: &mut Vec<ContactEvent>,
+        ) {
+            for &pair in self.current.difference(&fresh) {
+                out.push(ContactEvent::Down { pair, time });
+            }
+            for &pair in fresh.difference(&self.current) {
+                out.push(ContactEvent::Up { pair, time });
+            }
+            self.current = fresh;
+        }
+
+        fn drop_node(&mut self, node: NodeId, time: SimTime, out: &mut Vec<ContactEvent>) {
+            let doomed: Vec<NodePair> = self
+                .current
+                .iter()
+                .copied()
+                .filter(|p| p.lo() == node || p.hi() == node)
+                .collect();
+            for pair in doomed {
+                self.current.remove(&pair);
+                out.push(ContactEvent::Down { pair, time });
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Over many ticks of moving nodes, with radios dropping out
+        /// mid-run and a final close, the merge-diffed tracker emits
+        /// exactly the event stream of the set-based reference.
+        #[test]
+        fn prop_merge_diff_matches_set_reference(
+            start in proptest::collection::vec((0.0f64..1200.0, 0.0f64..900.0), 2..60),
+            seed in 0u64..1_000,
+        ) {
+            let range = 100.0;
+            let mut tr = ContactTracker::new(Rect::from_size(1200.0, 900.0), range);
+            let mut reference = SetReference::default();
+            let mut positions: Vec<Point2> =
+                start.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for tick in 0..30u64 {
+                let time = t(tick as f64);
+                tr.update(time, &positions, &mut got);
+                reference.update(time, naive_pairs(&positions, range), &mut want);
+                if tick % 7 == 3 {
+                    let node = NodeId(((seed + tick) % positions.len() as u64) as u32);
+                    tr.drop_node(node, time, &mut got);
+                    reference.drop_node(node, time, &mut want);
+                }
+                proptest::prop_assert_eq!(&got, &want);
+                for (i, p) in positions.iter_mut().enumerate() {
+                    let k = (i as u64 * 7919 + tick * 104_729 + seed) % 61;
+                    p.x = (p.x + k as f64 - 30.0).clamp(0.0, 1200.0);
+                    p.y = (p.y + (k * 13 % 61) as f64 - 30.0).clamp(0.0, 900.0);
+                }
+            }
+            tr.close_all(t(99.0), &mut got);
+            let live: Vec<NodePair> = reference.current.iter().copied().collect();
+            want.extend(live.into_iter().map(|pair| ContactEvent::Down { pair, time: t(99.0) }));
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(tr.contact_count(), 0);
         }
     }
 

@@ -48,6 +48,13 @@ pub trait RoutingProtocol: Send {
     /// May `msg` be sent to `ctx.peer`, and how? `peer_has` tells whether
     /// the peer already holds/knows this message (from the summary-vector
     /// exchange); protocols must not re-send those.
+    ///
+    /// **Contract:** the answer may depend on the message, `peer_has`
+    /// and state changed through this trait's hooks (contacts, gossip),
+    /// but must not turn from `None` to `Some` with `ctx.now` alone.
+    /// The simulator retries an idle link only after one of its
+    /// endpoints changed (buffer, acks, routing or policy state), so
+    /// such a transfer would start late or never.
     fn eligibility(
         &self,
         ctx: &RoutingCtx,

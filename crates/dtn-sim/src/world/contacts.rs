@@ -7,6 +7,12 @@ use super::*;
 impl World {
     pub(super) fn on_contact_up(&mut self, pair: NodePair) {
         self.links.insert(pair, LinkState::default());
+        for (node, peer) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
+            let peers = &mut self.peers[node.index()];
+            let at = peers.binary_search(&peer).expect_err("link was down");
+            peers.insert(at, peer);
+            self.dirty.mark(node);
+        }
         let now = self.now;
         let t = now.as_secs();
         let (lo, hi) = (pair.lo().0, pair.hi().0);
@@ -78,6 +84,13 @@ impl World {
             if state.in_flight.is_some() {
                 self.report.on_aborted_transfer();
             }
+        }
+        for (node, peer) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
+            let peers = &mut self.peers[node.index()];
+            if let Ok(at) = peers.binary_search(&peer) {
+                peers.remove(at);
+            }
+            self.dirty.mark(node);
         }
         let now = self.now;
         let t = now.as_secs();

@@ -34,6 +34,7 @@ impl World {
     pub(super) fn on_node_crash(&mut self, node: NodeId) {
         self.soa.radio_off[node.index()] += 1;
         self.force_contacts_down(node);
+        self.dirty.mark(node);
 
         let now = self.now;
         let doomed: Vec<MessageId> = self.nodes[node.index()].buffer.keys().copied().collect();
@@ -65,6 +66,7 @@ impl World {
     /// next tick when the node's true position is back in range.
     pub(super) fn on_node_reboot(&mut self, node: NodeId) {
         self.soa.radio_off[node.index()] = self.soa.radio_off[node.index()].saturating_sub(1);
+        self.dirty.mark(node);
         let (t, id) = (self.now.as_secs(), node.0);
         self.recorder
             .record(|| SimEvent::NodeRebooted { t, node: id });
@@ -75,6 +77,7 @@ impl World {
     pub(super) fn on_blackout_start(&mut self, node: NodeId) {
         self.soa.radio_off[node.index()] += 1;
         self.force_contacts_down(node);
+        self.dirty.mark(node);
         if let Some(v) = self.validator.as_mut() {
             v.on_blackout(node);
         }
@@ -86,6 +89,7 @@ impl World {
     /// End of a blackout window.
     pub(super) fn on_blackout_end(&mut self, node: NodeId) {
         self.soa.radio_off[node.index()] = self.soa.radio_off[node.index()].saturating_sub(1);
+        self.dirty.mark(node);
         let (t, id) = (self.now.as_secs(), node.0);
         self.recorder
             .record(|| SimEvent::BlackoutEnded { t, node: id });

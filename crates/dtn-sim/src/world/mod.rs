@@ -59,6 +59,7 @@ mod tests;
 mod traffic;
 mod transfers;
 
+pub use phases::MIN_NODES_TO_FAN_OUT;
 pub use soa::NodeArrays;
 
 use crate::config::{ImmunityMode, RoutingKind, ScenarioConfig};
@@ -137,6 +138,32 @@ struct LinkState {
     in_flight: Option<InFlight>,
 }
 
+/// Nodes whose rearm-relevant state changed since the last tick rearm:
+/// a flag per node plus the list of marked nodes, so marking is O(1)
+/// and the rearm visits only the links of marked nodes.
+///
+/// Every path that changes what a node may send or receive marks it:
+/// its buffer, acks, delivered set, dropped list or routing state.
+struct DirtyNodes {
+    marked: Vec<bool>,
+    list: Vec<NodeId>,
+}
+
+impl DirtyNodes {
+    fn new(n: usize) -> DirtyNodes {
+        DirtyNodes {
+            marked: vec![false; n],
+            list: Vec::new(),
+        }
+    }
+
+    fn mark(&mut self, node: NodeId) {
+        if !std::mem::replace(&mut self.marked[node.index()], true) {
+            self.list.push(node);
+        }
+    }
+}
+
 /// Perfect global knowledge for the oracle ablation.
 struct OracleState {
     /// Nodes (excluding the source) that have ever received each message.
@@ -208,6 +235,20 @@ pub struct World {
     /// iteration order into the event queue (the ordering-hazard class
     /// the insertion-order proptests guard against).
     links: BTreeMap<NodePair, LinkState>,
+    /// Per-endpoint index of `links`: each node's live peers, ascending.
+    /// A node's links are therefore found, in sorted-pair order, without
+    /// walking every link.
+    peers: Vec<Vec<NodeId>>,
+    /// Nodes whose state changed since the last tick rearm.
+    dirty: DirtyNodes,
+    /// Every message with a lower id has expired and left every buffer
+    /// (ids are issued in creation order and the TTL is one value per
+    /// scenario, so expiry times ascend with the id).
+    expiry_frontier: usize,
+    /// Running world total of the buffer policies' priority-cache
+    /// counters, advanced where priorities are requested; equal to
+    /// [`Self::priority_cache_stats`] at all times.
+    cache_stats: PriorityCacheStats,
     queue: EventQueue<WorldEvent>,
     now: SimTime,
     traffic_rng: StdRng,
@@ -229,10 +270,9 @@ pub struct World {
     /// a refused candidate is re-examined on every scheduling pass.
     refused_seen: HashSet<(NodeId, MessageId)>,
     scratch_events: Vec<ContactEvent>,
-    /// Reusable idle-pair buffer for [`Self::rearm_idle_links`] — the
-    /// rearm sweep runs on every tick and twice per transfer completion,
-    /// so its allocation is hoisted out of the hot path.
-    scratch_idle: Vec<NodePair>,
+    /// Reusable link-list buffer for the rearm paths, which run on
+    /// every tick and twice per transfer completion.
+    scratch_links: Vec<NodePair>,
     /// Recycled spray-timestamp vectors: replications pop one instead of
     /// allocating a fresh clone, removals push theirs back (bounded by
     /// [`SPRAY_POOL_CAP`]).
@@ -368,6 +408,10 @@ impl World {
             soa: NodeArrays::new(mobility, clock_skew),
             tracker,
             links: BTreeMap::new(),
+            peers: vec![Vec::new(); cfg.n_nodes],
+            dirty: DirtyNodes::new(cfg.n_nodes),
+            expiry_frontier: 0,
+            cache_stats: PriorityCacheStats::default(),
             queue,
             now: SimTime::ZERO,
             traffic_rng: stream_rng(cfg.seed, streams::TRAFFIC),
@@ -386,7 +430,7 @@ impl World {
             validate_metrics: None,
             refused_seen: HashSet::new(),
             scratch_events: Vec::new(),
-            scratch_idle: Vec::new(),
+            scratch_links: Vec::new(),
             spray_pool: Vec::new(),
             evict_scratch: EvictionScratch::default(),
             victim_scratch: Vec::new(),
@@ -632,11 +676,14 @@ impl World {
         for node in &mut self.nodes {
             node.policy.set_priority_cache(enabled);
         }
+        self.cache_stats = self.priority_cache_stats();
     }
 
     /// Aggregate priority-cache hit/miss counters across every node's
     /// buffer policy. Policies without a cache contribute nothing, so
-    /// the result is `(0, 0)`-shaped for non-SDSRP runs.
+    /// the result is `(0, 0)`-shaped for non-SDSRP runs. A full walk
+    /// over the nodes; the per-tick gauges read the running total
+    /// instead, which always equals it.
     pub fn priority_cache_stats(&self) -> PriorityCacheStats {
         let mut total = PriorityCacheStats::default();
         for node in &self.nodes {
@@ -645,6 +692,18 @@ impl World {
             }
         }
         total
+    }
+}
+
+/// Adds the growth of one policy's priority-cache counters since
+/// `before` (a snapshot taken before a ranking call) to `total`.
+fn account_cache(
+    total: &mut PriorityCacheStats,
+    before: Option<PriorityCacheStats>,
+    after: Option<PriorityCacheStats>,
+) {
+    if let (Some(before), Some(after)) = (before, after) {
+        total.merge(after.since(before));
     }
 }
 

@@ -4,22 +4,35 @@
 //! is part of the determinism contract — each phase observes exactly
 //! the state the previous phases left:
 //!
-//! 1. **expiry** — purge TTL-dead copies (node-ordered walk).
+//! 1. **expiry** — purge TTL-dead copies (node-ordered walk), only on
+//!    ticks where the expiry frontier advances.
 //! 2. **movement** — sample all trajectories into the SoA position
 //!    array (*parallel*, per-node RNG substreams).
 //! 3. **contacts** — rebuild the spatial grid, query in-range pairs
 //!    (*parallel*, row-band reduction), diff against the previous tick
 //!    and dispatch ContactDown/ContactUp in sorted-pair order.
 //! 4. **telemetry** — gauges and due time-series samples.
-//! 5. **rearm** — restart idle live links in sorted-pair order.
+//! 5. **rearm** — restart the idle links of nodes whose state changed
+//!    since the last rearm, in sorted-pair order.
 //! 6. **validation** — the full-state invariant sweep, when enabled.
 //!
 //! The parallel phases (2 and 3) are the embarrassingly parallel ones:
 //! per-item outputs only, merged in band order, so fingerprints are
-//! bit-identical at any thread count.
+//! bit-identical at any thread count. Below [`MIN_NODES_TO_FAN_OUT`]
+//! nodes they run inline: the fork-join hand-off would cost more than
+//! the work it splits.
 
 use super::*;
 use dtn_telemetry::TimePoint;
+
+/// Worlds with fewer nodes run the movement and contact phases inline
+/// even on a multi-thread pool. A fork-join costs about 20 µs of
+/// condvar hand-off, while sampling or scanning a node costs well
+/// under a microsecond, so splitting a small world only adds latency
+/// (the 100-node paper scenario ran 1.75x slower at 2 threads).
+/// Results do not depend on it: the inline path is the serial
+/// reference.
+pub const MIN_NODES_TO_FAN_OUT: usize = 4096;
 
 impl World {
     pub(super) fn on_tick(&mut self) {
@@ -36,18 +49,33 @@ impl World {
         }
     }
 
-    /// Phase 1: drop every TTL-expired copy. Nodes are walked in index
-    /// order and each buffer is a `BTreeMap`, so the drop sequence is
-    /// deterministic.
+    /// Phase 1: drop every TTL-expired copy. Expiry times ascend with
+    /// the message id, so the newly expired messages are the ids from
+    /// the old frontier up to the first unexpired one; nothing happens
+    /// unless that frontier moves. Then every buffered id below the new
+    /// frontier has expired. Nodes are walked in index order and each
+    /// buffer is a `BTreeMap`, so the drop sequence is node-major with
+    /// ids ascending.
     fn phase_expiry(&mut self) {
         let now = self.now;
+        let start = self.expiry_frontier;
+        let end = start
+            + self.catalog[start..]
+                .iter()
+                .take_while(|m| m.expired(now))
+                .count();
+        if end == start {
+            return;
+        }
+        self.expiry_frontier = end;
+        let frontier = MessageId(end as u64);
         for node in &mut self.nodes {
-            let expired: Vec<MessageId> = node
-                .buffer
-                .keys()
-                .copied()
-                .filter(|id| self.catalog[id.index()].expired(now))
-                .collect();
+            if node.buffer.range(..frontier).next().is_none() {
+                continue;
+            }
+            self.dirty.mark(node.id);
+            let expired: Vec<MessageId> =
+                node.buffer.range(..frontier).map(|(&id, _)| id).collect();
             for id in expired {
                 let size = self.catalog[id.index()].size;
                 let removed = node.remove_copy(id, size);
@@ -71,7 +99,8 @@ impl World {
 
     /// Phase 2: parallel movement sampling into the SoA position array.
     fn phase_movement(&mut self) {
-        self.soa.sample_movement(self.now, &self.pool);
+        let pool = (self.soa.len() >= MIN_NODES_TO_FAN_OUT).then_some(&self.pool);
+        self.soa.sample_movement(self.now, pool);
     }
 
     /// Phase 3: parallel contact-grid query, then the serial diff and
@@ -80,8 +109,9 @@ impl World {
     fn phase_contacts(&mut self) {
         let mut events = std::mem::take(&mut self.scratch_events);
         events.clear();
+        let pool = (self.soa.len() >= MIN_NODES_TO_FAN_OUT).then_some(&self.pool);
         self.tracker
-            .update_pooled(self.now, &self.soa.positions, &mut events, Some(&self.pool));
+            .update_pooled(self.now, &self.soa.positions, &mut events, pool);
         for ev in &events {
             if let Some(trace) = self.contact_trace.as_mut() {
                 trace.record(*ev);
@@ -98,7 +128,7 @@ impl World {
     fn phase_telemetry(&mut self) {
         if let Some(m) = self.metrics.as_ref() {
             let live = self.links.len() as f64;
-            let cache = self.priority_cache_stats();
+            let cache = self.cache_stats;
             let metrics = self.recorder.metrics_mut();
             metrics.set_gauge(m.live_contacts, live);
             metrics.set_gauge(m.priority_cache_hits, cache.hits as f64);
@@ -111,10 +141,33 @@ impl World {
         }
     }
 
-    /// Phase 5: catch-all rearm — restart any idle live link (new
-    /// messages may have arrived since the link went idle).
-    fn phase_rearm(&mut self) {
-        self.rearm_idle_links(None);
+    /// Phase 5: catch-all rearm — restart idle live links that may
+    /// have work now, in sorted-pair order.
+    ///
+    /// Only links touching a node marked dirty since
+    /// the last rearm are visited. That is exact: every idle link was
+    /// tried when it last became idle or when one of its endpoints last
+    /// changed, and found nothing to send. A retry can only find work
+    /// if an endpoint's buffer, acks, delivered set, dropped list or
+    /// routing state changed since — every such path marks the node —
+    /// because transfer eligibility and acceptance depend on that state
+    /// and not on the clock alone (the passage of time only expires
+    /// candidates). See `BufferPolicy::accepts` and
+    /// `RoutingProtocol::eligibility` for the contract.
+    pub(super) fn phase_rearm(&mut self) {
+        let mut links = std::mem::take(&mut self.scratch_links);
+        links.clear();
+        for node in self.dirty.list.drain(..) {
+            self.dirty.marked[node.index()] = false;
+            links.extend(
+                self.peers[node.index()]
+                    .iter()
+                    .map(|&peer| NodePair::new(node, peer)),
+            );
+        }
+        links.sort_unstable();
+        links.dedup();
+        self.try_links(links);
     }
 
     /// Phase 6: the full-state validation sweep (no-op without a
@@ -123,34 +176,31 @@ impl World {
         self.run_validation_sweep();
     }
 
-    /// Re-arms every idle live link — all of them, or only those
-    /// touching `node`. The single rearm path in the simulator (the
-    /// per-tick catch-all and the per-transfer kicks both land here).
-    ///
-    /// `links` is a `BTreeMap`, so the iteration is already in
-    /// sorted-pair order — same-instant `TransferComplete` events apply
-    /// in push order, and this is what keeps that order independent of
-    /// link insertion history. (The former `HashMap` + sort pairing
-    /// made the same guarantee by re-sorting on every sweep; the
-    /// ordered map removes the hazard instead of patching it.) The pair
-    /// list still lives in a reusable scratch buffer so the sweep
-    /// allocates nothing in steady state.
-    pub(super) fn rearm_idle_links(&mut self, touching: Option<NodeId>) {
-        let mut idle = std::mem::take(&mut self.scratch_idle);
-        idle.clear();
-        idle.extend(
-            self.links
+    /// Re-arms every idle live link of `node`, in sorted-pair order
+    /// (its peers are kept ascending, and the pairs `(peer, node)` with
+    /// a lower peer sort before the pairs `(node, peer)`). The kick
+    /// after a transfer completion or a generation, when one node's
+    /// buffer changed.
+    pub(super) fn rearm_idle_links(&mut self, node: NodeId) {
+        let mut links = std::mem::take(&mut self.scratch_links);
+        links.clear();
+        links.extend(
+            self.peers[node.index()]
                 .iter()
-                .filter(|(p, s)| {
-                    s.in_flight.is_none() && touching.is_none_or(|n| p.lo() == n || p.hi() == n)
-                })
-                .map(|(&p, _)| p),
+                .map(|&peer| NodePair::new(node, peer)),
         );
-        debug_assert!(idle.windows(2).all(|w| w[0] < w[1]), "BTreeMap order");
-        for &pair in &idle {
+        self.try_links(links);
+    }
+
+    /// Tries every link in `links` (sorted pairs; busy or gone links
+    /// are skipped by [`Self::try_start_transfer`]), then returns the
+    /// buffer to the scratch slot.
+    fn try_links(&mut self, links: Vec<NodePair>) {
+        debug_assert!(links.windows(2).all(|w| w[0] < w[1]), "sorted pairs");
+        for &pair in &links {
             self.try_start_transfer(pair);
         }
-        self.scratch_idle = idle;
+        self.scratch_links = links;
     }
 
     /// Computes one time-series sample from the current state.

@@ -62,10 +62,11 @@ impl NodeArrays {
     /// Embarrassingly parallel: node `i` writes only `positions[i]` and
     /// draws only from its own mobility RNG substream, so fanning the
     /// index space out across `pool` in contiguous bands is
-    /// bit-identical to the serial loop at any thread count.
-    pub(super) fn sample_movement(&mut self, now: SimTime, pool: &Pool) {
+    /// bit-identical to the serial loop at any thread count. Without a
+    /// pool the loop runs inline.
+    pub(super) fn sample_movement(&mut self, now: SimTime, pool: Option<&Pool>) {
         let radio_off = &self.radio_off;
-        pool.zip_for_each(&mut self.mobility, &mut self.positions, |offset, ms, ps| {
+        let sample = |offset: usize, ms: &mut [Box<dyn Mobility>], ps: &mut [Point2]| {
             for (k, (m, p)) in ms.iter_mut().zip(ps.iter_mut()).enumerate() {
                 let i = offset + k;
                 *p = if radio_off[i] > 0 {
@@ -75,6 +76,10 @@ impl NodeArrays {
                     m.position_at(now)
                 };
             }
-        });
+        };
+        match pool {
+            Some(pool) => pool.zip_for_each(&mut self.mobility, &mut self.positions, sample),
+            None => sample(0, &mut self.mobility, &mut self.positions),
+        }
     }
 }

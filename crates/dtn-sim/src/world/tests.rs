@@ -666,3 +666,186 @@ fn faulted_threaded_run_matches_serial() {
     assert_eq!(serial.buffer_drops(), threaded.buffer_drops());
     assert_eq!(serial.aborted_transfers(), threaded.aborted_transfers());
 }
+
+// ------------------------------------------------------------------
+// Incremental per-tick bookkeeping: the dirty-node rearm and the
+// running priority-cache totals must be exact.
+// ------------------------------------------------------------------
+
+/// The paper's small-buffer congestion regime (as in the thread
+/// battery): evictions, rejections and gossip on every contact.
+fn buffer_pressure() -> ScenarioConfig {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    cfg.n_nodes = 60;
+    cfg.duration_secs = 900.0;
+    cfg.gen_interval = (8.0, 12.0);
+    cfg.buffer_capacity = Bytes::new(1_500_000);
+    cfg
+}
+
+/// The rearm visits only links of nodes marked since the last tick.
+/// That is exact only if, after every tick, no idle link has anything
+/// to send: a link it skipped would have started nothing. Checked here
+/// across routers, immunity modes and fault churn.
+#[test]
+fn no_idle_link_has_work_after_any_tick() {
+    let churn = crate::config::FaultPlan {
+        crash_rate_per_hour: 4.0,
+        reboot_secs: 90.0,
+        blackout_rate_per_hour: 4.0,
+        blackout_secs: 45.0,
+        transfer_abort_prob: 0.1,
+        clock_skew_max_secs: 2.0,
+    };
+    let mut scenarios = vec![buffer_pressure()];
+    for routing in [
+        RoutingKind::SprayAndFocus {
+            handoff_threshold: 60.0,
+        },
+        RoutingKind::Prophet,
+        RoutingKind::Epidemic,
+    ] {
+        let mut cfg = buffer_pressure();
+        cfg.routing = routing;
+        scenarios.push(cfg);
+    }
+    let mut cfg = buffer_pressure();
+    cfg.immunity = crate::config::ImmunityMode::AntipacketGossip;
+    cfg.faults = churn;
+    scenarios.push(cfg);
+    let mut cfg = buffer_pressure();
+    cfg.immunity = crate::config::ImmunityMode::OracleFlood;
+    cfg.ttl = SimDuration::from_secs(300.0);
+    scenarios.push(cfg);
+
+    for cfg in scenarios {
+        let mut world = World::build(&cfg);
+        let mut busy_ticks = 0;
+        for tick in 0..=cfg.duration_secs as u64 {
+            world.step_until(SimTime::from_secs(tick as f64));
+            let idle: Vec<NodePair> = world
+                .links
+                .iter()
+                .filter(|(_, s)| s.in_flight.is_none())
+                .map(|(&p, _)| p)
+                .collect();
+            busy_ticks += usize::from(idle.len() < world.links.len());
+            for pair in idle {
+                assert!(
+                    world.best_candidate(pair).is_none(),
+                    "{:?} t={tick}: idle link {pair:?} has work",
+                    cfg.routing
+                );
+            }
+        }
+        assert!(busy_ticks > 0, "{:?}: no transfer ever ran", cfg.routing);
+    }
+}
+
+/// The per-endpoint link index always mirrors the link table.
+#[test]
+fn peer_index_mirrors_the_link_table() {
+    let mut cfg = buffer_pressure();
+    cfg.faults.blackout_rate_per_hour = 6.0;
+    cfg.faults.blackout_secs = 30.0;
+    let mut world = World::build(&cfg);
+    for tick in (0..=900).step_by(7) {
+        world.step_until(SimTime::from_secs(tick as f64));
+        let mut from_index: Vec<NodePair> = world
+            .peers
+            .iter()
+            .enumerate()
+            .flat_map(|(i, peers)| {
+                assert!(peers.windows(2).all(|w| w[0] < w[1]), "unsorted peers");
+                let node = NodeId(i as u32);
+                peers
+                    .iter()
+                    .filter(move |&&p| node < p)
+                    .map(move |&p| NodePair::new(node, p))
+            })
+            .collect();
+        from_index.sort();
+        let table: Vec<NodePair> = world.links.keys().copied().collect();
+        assert_eq!(from_index, table, "t={tick}");
+    }
+}
+
+/// The priority-cache gauges come from a running total kept where
+/// priorities are requested; after every tick it must equal a full
+/// walk over every node's policy.
+#[test]
+fn running_cache_gauges_equal_a_full_walk_after_every_tick() {
+    let cfg = buffer_pressure();
+    let mut world = World::build(&cfg);
+    world.attach_recorder(Recorder::enabled(16));
+    let gauge = |world: &World, name: &str| {
+        world
+            .recorder()
+            .metrics()
+            .snapshot()
+            .gauges
+            .iter()
+            .find(|g| g.name == name)
+            .map(|g| g.value)
+            .expect("gauge registered")
+    };
+    for tick in 0..=cfg.duration_secs as u64 {
+        world.step_until(SimTime::from_secs(tick as f64));
+        let walk = world.priority_cache_stats();
+        assert_eq!(world.cache_stats, walk, "t={tick}");
+        assert_eq!(gauge(&world, "priority_cache_hits"), walk.hits as f64);
+        assert_eq!(
+            gauge(&world, "priority_cache_incremental"),
+            walk.incremental as f64
+        );
+        assert_eq!(gauge(&world, "priority_cache_misses"), walk.misses as f64);
+    }
+    let end = world.priority_cache_stats();
+    assert!(
+        end.hits + end.incremental + end.misses > 0,
+        "cache never used"
+    );
+    // Toggling the cache resets the counters; the total follows.
+    world.set_priority_cache(false);
+    assert_eq!(world.cache_stats, world.priority_cache_stats());
+}
+
+/// Paths whose state changes never create work for the in-tree
+/// routers and policies still mark their nodes, so a custom policy or
+/// router that reacts to them is rearmed too (the no-idle-work check
+/// above cannot see these marks).
+#[test]
+fn contact_down_reboot_and_purge_mark_their_nodes() {
+    let mut world = World::build(&tiny_two_node(PolicyKind::Sdsrp));
+    world.step_until(SimTime::from_secs(60.0));
+    let pair = NodePair::new(NodeId(0), NodeId(1));
+    assert!(world.links.contains_key(&pair), "stationary pair in range");
+    world.phase_rearm();
+    assert!(world.dirty.list.is_empty());
+
+    world.on_contact_down(pair);
+    assert_eq!(world.dirty.list, vec![NodeId(0), NodeId(1)]);
+    assert!(world.peers.iter().all(Vec::is_empty));
+    world.phase_rearm();
+
+    world.on_node_reboot(NodeId(1));
+    world.on_blackout_end(NodeId(0));
+    assert_eq!(world.dirty.list, vec![NodeId(1), NodeId(0)]);
+    world.phase_rearm();
+
+    let held = *world.nodes[0]
+        .buffer
+        .keys()
+        .chain(world.nodes[1].buffer.keys())
+        .next()
+        .expect("something buffered after 60 s");
+    world.purge_everywhere(held);
+    assert!(!world.dirty.list.is_empty());
+    assert!(world
+        .dirty
+        .list
+        .iter()
+        .all(|&n| world.dirty.marked[n.index()]));
+}

@@ -90,7 +90,7 @@ impl World {
             self.queue.push(next, WorldEvent::Generate);
         }
 
-        self.rearm_idle_links(Some(source));
+        self.rearm_idle_links(source);
     }
 
     /// Forced admission for newly generated messages: evicts the
@@ -98,6 +98,7 @@ impl World {
     /// (always succeeds because `validate` guarantees a single message
     /// fits in an empty buffer).
     fn admit_copy_forced(&mut self, node_id: NodeId, msg_id: MessageId, copy: BufferedCopy) {
+        self.dirty.mark(node_id);
         let now = self.now;
         let msg = self.catalog[msg_id.index()];
         let node = &mut self.nodes[node_id.index()];
@@ -111,6 +112,7 @@ impl World {
             // order the former full sort used — so the victim sequence
             // is unchanged. Every resident is ranked at the same `now`
             // snapshot the overflow decision uses.
+            let stats_before = node.policy.priority_cache_stats();
             let policy = node.policy.as_mut();
             let catalog = &self.catalog;
             let oracle = self.oracle.as_ref();
@@ -126,6 +128,11 @@ impl World {
             });
             self.evict_scratch
                 .select_victims(candidates, free, msg.size, &mut victims);
+            account_cache(
+                &mut self.cache_stats,
+                stats_before,
+                node.policy.priority_cache_stats(),
+            );
         }
         for &(victim, size) in &victims {
             let node = &mut self.nodes[node_id.index()];
@@ -167,6 +174,7 @@ impl World {
         msg_id: MessageId,
         copy: BufferedCopy,
     ) -> bool {
+        self.dirty.mark(node_id);
         let now = self.now;
         let msg = self.catalog[msg_id.index()];
         let oracle_info = self.oracle.as_ref().map(|o| o.of(msg_id));
@@ -187,6 +195,7 @@ impl World {
                 make_view(m, c, now, oi)
             })
             .collect();
+        let stats_before = node.policy.priority_cache_stats();
         let plan = plan_admission_with(
             node.policy.as_mut(),
             now,
@@ -197,6 +206,11 @@ impl World {
             &mut self.evict_scratch,
         );
         drop(resident_views);
+        account_cache(
+            &mut self.cache_stats,
+            stats_before,
+            node.policy.priority_cache_stats(),
+        );
 
         match plan {
             AdmissionPlan::RejectIncoming => {

@@ -44,11 +44,12 @@ impl World {
     /// Enumerates eligible transfers in both directions of `pair` and
     /// returns the winner: deliveries first, then the sender's scheduling
     /// priority, ties broken deterministically.
-    fn best_candidate(&mut self, pair: NodePair) -> Option<Candidate> {
+    pub(super) fn best_candidate(&mut self, pair: NodePair) -> Option<Candidate> {
         let now = self.now;
         let mut best: Option<Candidate> = None;
         for (s_id, r_id) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
             let (sender, receiver) = two_nodes(&mut self.nodes, s_id, r_id);
+            let stats_before = sender.policy.priority_cache_stats();
             let ctx = RoutingCtx {
                 me: s_id,
                 peer: r_id,
@@ -102,6 +103,11 @@ impl World {
                     Some(cur) => pick_better(cur, cand),
                 });
             }
+            account_cache(
+                &mut self.cache_stats,
+                stats_before,
+                sender.policy.priority_cache_stats(),
+            );
         }
         best
     }
@@ -141,11 +147,13 @@ impl World {
         // Link is free again: keep the contact busy, and buffers changed
         // so other idle links of both endpoints may have work now.
         self.try_start_transfer(pair);
-        self.rearm_idle_links(Some(pair.lo()));
-        self.rearm_idle_links(Some(pair.hi()));
+        self.rearm_idle_links(pair.lo());
+        self.rearm_idle_links(pair.hi());
     }
 
     fn apply_transfer(&mut self, f: InFlight) {
+        self.dirty.mark(f.from);
+        self.dirty.mark(f.to);
         let now = self.now;
         let msg = self.catalog[f.msg.index()];
         // The sender may have lost the copy mid-transfer (eviction or
@@ -324,11 +332,14 @@ impl World {
 
     /// Removes every buffered copy of `msg` network-wide (idealised
     /// VACCINE immunity).
-    fn purge_everywhere(&mut self, msg: MessageId) {
+    pub(super) fn purge_everywhere(&mut self, msg: MessageId) {
         let size = self.catalog[msg.index()].size;
         let now = self.now;
         for node in &mut self.nodes {
+            // Learning the ack only removes transfer candidates; losing
+            // the copy is a copy removal, which marks the node.
             if node.has(msg) {
+                self.dirty.mark(node.id);
                 let removed = node.remove_copy(msg, size);
                 self.report.on_immunity_purge();
                 let holder = node.id.0;
@@ -362,6 +373,9 @@ impl World {
             .copied()
             .filter(|id| node.acked.contains(id))
             .collect();
+        if !doomed.is_empty() {
+            self.dirty.mark(node_id);
+        }
         for id in doomed {
             let size = self.catalog[id.index()].size;
             let removed = node.remove_copy(id, size);

@@ -9,6 +9,13 @@
 //! ```text
 //! cargo run --release --example custom_policy
 //! ```
+//!
+//! One rule binds a custom policy beyond the trait's signatures:
+//! [`BufferPolicy::accepts`] must not flip from refusing to accepting
+//! with the clock alone. The world retries an idle link only after an
+//! endpoint's state changed (a contact, a drop, gossip, a buffer
+//! change), so a time-based change of mind would be noticed late. Rank
+//! by time freely: priorities are only read when a link is retried.
 
 use sdsrp::buffer::policy::BufferPolicy;
 use sdsrp::buffer::view::MessageView;

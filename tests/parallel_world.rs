@@ -16,7 +16,7 @@ use sdsrp::core::ids::{NodeId, NodePair};
 use sdsrp::sim::config::{presets, FaultPlan, PolicyKind, ScenarioConfig};
 use sdsrp::sim::replay::{differential_world_threads, fingerprint_at_threads};
 use sdsrp::sim::scenario_gen::{random_fault_plan, random_scenario};
-use sdsrp::sim::world::World;
+use sdsrp::sim::world::{World, MIN_NODES_TO_FAN_OUT};
 use sdsrp::validate::ValidateConfig;
 use std::collections::BTreeMap;
 
@@ -66,6 +66,45 @@ fn fault_churn() -> ScenarioConfig {
         clock_skew_max_secs: 2.0,
     };
     cfg
+}
+
+/// A world just above the fan-out threshold, so movement and contact
+/// detection really run on the pool's workers; smaller worlds run those
+/// phases inline at any thread count.
+fn fanned_out() -> ScenarioConfig {
+    let mut cfg = presets::smoke();
+    cfg.name = "fanned-out".into();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 21;
+    cfg.n_nodes = MIN_NODES_TO_FAN_OUT + 500;
+    cfg.mobility = sdsrp::mobility::MobilityConfig::RandomWaypoint(
+        sdsrp::mobility::random_waypoint::RandomWaypointConfig {
+            area: sdsrp::core::geometry::Rect::from_size(9_000.0, 7_000.0),
+            min_speed: 1.0,
+            max_speed: 5.0,
+            min_pause: 0.0,
+            max_pause: 10.0,
+        },
+    );
+    cfg.duration_secs = 40.0;
+    cfg.gen_interval = (1.0, 2.0);
+    cfg
+}
+
+#[test]
+fn fanned_out_fingerprint_is_thread_count_invariant() {
+    let diffs = differential_world_threads(&fanned_out(), THREAD_BATTERY);
+    assert!(
+        diffs.is_empty(),
+        "fanned-out diverged:
+{}",
+        diffs.join("\n")
+    );
+    let fp = fingerprint_at_threads(&fanned_out(), 2);
+    assert!(
+        fp.events.contacts_up > 0 && fp.transmissions > 0,
+        "vacuous: {fp:?}"
+    );
 }
 
 #[test]

@@ -141,6 +141,19 @@ fn cases() -> Vec<(&'static str, ScenarioConfig)> {
             with(&|c| c.immunity = ImmunityMode::AntipacketGossip),
         ),
         (
+            "sdsrp-oracle-churn",
+            with(&|c| {
+                c.policy = PolicyKind::SdsrpOracle {
+                    lambda: 1.0 / 2000.0,
+                };
+                c.faults = FaultPlan {
+                    transfer_abort_prob: 0.1,
+                    ..churn()
+                };
+                c.oracle = true;
+            }),
+        ),
+        (
             "antipacket-churn-epidemic",
             with(&|c| {
                 c.immunity = ImmunityMode::AntipacketGossip;
@@ -238,6 +251,10 @@ fn the_matrix_is_not_vacuous() {
     assert!(seen["buffer-pressure-sdsrp"].buffer_drops() > 0);
     assert!(
         seen["aborts-sdsrp"].aborted_transfers() > seen["snw-binary-sdsrp"].aborted_transfers()
+    );
+    assert!(
+        seen["sdsrp-oracle-churn"].aborted_transfers()
+            > seen["snw-binary-sdsrp"].aborted_transfers()
     );
     assert!(seen["oracle-flood-sdsrp"].immunity_purges() > 0);
     assert!(seen["antipacket-sdsrp"].immunity_purges() > 0);

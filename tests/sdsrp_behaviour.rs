@@ -127,6 +127,34 @@ fn lambda_oracle_vs_online_differ_but_comparable() {
     );
 }
 
+/// `SdsrpOracle` is fed the true `m_i`/`n_i` from the policy choice
+/// alone, with no other setting touched (as a `--config` JSON naming
+/// the policy builds it), so it must behave differently from the
+/// λ-only oracle that still estimates `m_i`/`n_i` (Eqs. 14/15).
+#[test]
+fn sdsrp_oracle_policy_alone_gets_true_m_and_n() {
+    let full = fingerprint(&congested(
+        PolicyKind::SdsrpOracle {
+            lambda: 1.0 / 2000.0,
+        },
+        1,
+    ));
+    let lambda_only = fingerprint(&congested(
+        PolicyKind::SdsrpCustom {
+            lambda: LambdaMode::Oracle(1.0 / 2000.0),
+            taylor_terms: None,
+            reject_dropped: true,
+            gossip: true,
+        },
+        1,
+    ));
+    assert_eq!(full.0, lambda_only.0, "same traffic either way");
+    assert_ne!(
+        full, lambda_only,
+        "SdsrpOracle ran on estimated m_i/n_i: the true-value inputs never reached the policy"
+    );
+}
+
 #[test]
 fn sdsrp_beats_fifo_on_overhead_in_congestion() {
     // The paper's most robust headline: SDSRP's overhead ratio falls far

@@ -180,7 +180,6 @@ fn main() {
         cfg.policy = PolicyKind::SdsrpOracle {
             lambda: 1.0 / 2000.0,
         };
-        cfg.oracle = true;
         row("oracle m_i/n_i", &cfg, seeds);
     }
 

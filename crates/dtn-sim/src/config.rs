@@ -58,8 +58,8 @@ pub enum PolicyKind {
         gossip: bool,
     },
     /// SDSRP fed perfect `m_i`/`n_i` by the simulator (GBSD-style
-    /// global-knowledge upper bound). Requires `oracle = true` in the
-    /// scenario.
+    /// global-knowledge upper bound), read from the world's truth
+    /// ledger.
     SdsrpOracle {
         /// Oracle intermeeting rate λ.
         lambda: f64,
@@ -390,9 +390,6 @@ pub struct ScenarioConfig {
     pub routing: RoutingKind,
     /// Master seed.
     pub seed: u64,
-    /// Maintain and expose perfect `m_i`/`n_i` to policies (for the
-    /// oracle ablation). Slightly slower; off for the paper runs.
-    pub oracle: bool,
     /// Delivery-acknowledgement mechanism (extension; the paper uses
     /// [`ImmunityMode::None`]).
     #[serde(default)]
@@ -475,7 +472,6 @@ pub mod presets {
             policy: PolicyKind::Sdsrp,
             routing: RoutingKind::SprayAndWaitBinary,
             seed: 1,
-            oracle: false,
             immunity: ImmunityMode::None,
             message_size_max: None,
             traffic: TrafficModel::Uniform,
@@ -521,7 +517,6 @@ pub mod presets {
             policy: PolicyKind::Sdsrp,
             routing: RoutingKind::SprayAndWaitBinary,
             seed: 1,
-            oracle: false,
             immunity: ImmunityMode::None,
             message_size_max: None,
             traffic: TrafficModel::Uniform,

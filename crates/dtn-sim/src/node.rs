@@ -99,8 +99,8 @@ impl Node {
 
 /// Builds the policy-facing view of one buffered copy.
 ///
-/// `oracle` carries perfect `(m_i, n_i)` when the scenario runs in
-/// oracle mode.
+/// `oracle` carries the true `(m_i, n_i)` from the world's truth ledger
+/// when the policy is `SdsrpOracle`.
 pub fn make_view<'a>(
     msg: &Message,
     copy: &'a BufferedCopy,

@@ -96,7 +96,6 @@ fn scenario_from_rng(rng: &mut StdRng, seed: u64) -> ScenarioConfig {
         policy,
         routing,
         seed: run_seed,
-        oracle: false,
         immunity,
         message_size_max: Some(Bytes::from_mb(0.8)),
         traffic: Default::default(),

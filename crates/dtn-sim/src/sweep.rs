@@ -730,9 +730,6 @@ pub fn materialize_jobs(spec: &SweepSpec) -> Vec<CellJob> {
                 // seed, and none of the field-setting axes is affected
                 // by the order.
                 spec.axis.apply(&mut cfg, ai);
-                if matches!(policy, PolicyKind::SdsrpOracle { .. }) {
-                    cfg.oracle = true;
-                }
                 jobs.push(CellJob {
                     label: spec.axis.label(ai),
                     policy: policy.label().to_string(),

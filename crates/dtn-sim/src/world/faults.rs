@@ -30,7 +30,7 @@ impl World {
     /// (`delivered`, `acked`) survives, as would anything persisted to
     /// stable storage on a real node. Report counters are untouched:
     /// fault counts flow only through telemetry and the validator's
-    /// fault ledger.
+    /// fault counters.
     pub(super) fn on_node_crash(&mut self, node: NodeId) {
         self.soa.radio_off[node.index()] += 1;
         self.force_contacts_down(node);
@@ -39,14 +39,13 @@ impl World {
         let now = self.now;
         let doomed: Vec<MessageId> = self.nodes[node.index()].buffer.keys().copied().collect();
         let wiped = doomed.len() as u64;
+        let mut wiped_tokens = 0;
         for id in doomed {
             let size = self.catalog[id.index()].size;
             let removed = self.nodes[node.index()].remove_copy(id, size);
-            if let Some(o) = self.oracle.as_mut() {
-                o.holders[id.index()] = o.holders[id.index()].saturating_sub(1);
-            }
-            if let Some(v) = self.validator.as_mut() {
-                v.on_crash_wipe(id, removed.copies);
+            wiped_tokens += u64::from(removed.copies);
+            if let Some(truth) = self.truth.as_mut() {
+                truth.on_crash_wipe(id, removed.copies);
             }
             recycle_spray(&mut self.spray_pool, removed);
         }
@@ -55,7 +54,7 @@ impl World {
         self.nodes[node.index()].policy.on_node_reset(now);
         self.nodes[node.index()].routing = self.cfg.routing.build();
         if let Some(v) = self.validator.as_mut() {
-            v.on_node_crashed(node);
+            v.on_node_crashed(node, wiped, wiped_tokens);
         }
         let (t, id) = (now.as_secs(), node.0);
         self.recorder

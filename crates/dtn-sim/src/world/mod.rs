@@ -62,7 +62,7 @@ mod transfers;
 pub use phases::MIN_NODES_TO_FAN_OUT;
 pub use soa::NodeArrays;
 
-use crate::config::{ImmunityMode, RoutingKind, ScenarioConfig};
+use crate::config::{ImmunityMode, PolicyKind, RoutingKind, ScenarioConfig};
 use crate::message::{BufferedCopy, Message};
 use crate::node::{make_view, two_nodes, Node};
 use crate::report::Report;
@@ -78,7 +78,7 @@ use dtn_net::contact::{ContactEvent, ContactTracker};
 use dtn_net::trace::ContactTrace;
 use dtn_routing::protocol::{RoutingCtx, TransferKind};
 use dtn_telemetry::{DropReason, Recorder, SimEvent};
-use dtn_validate::{SweepOutcome, ValidateConfig, ValidationReport, Validator};
+use dtn_validate::{SweepOutcome, TruthLedger, ValidateConfig, ValidationReport, Validator};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, HashSet};
@@ -164,23 +164,6 @@ impl DirtyNodes {
     }
 }
 
-/// Perfect global knowledge for the oracle ablation.
-struct OracleState {
-    /// Nodes (excluding the source) that have ever received each message.
-    seen: Vec<HashSet<NodeId>>,
-    /// Buffers currently holding each message.
-    holders: Vec<u32>,
-}
-
-impl OracleState {
-    fn of(&self, msg: MessageId) -> (u32, u32) {
-        (
-            self.seen[msg.index()].len() as u32,
-            self.holders[msg.index()],
-        )
-    }
-}
-
 /// Metric handles registered on the recorder by
 /// [`World::attach_recorder`].
 struct WorldMetrics {
@@ -254,7 +237,15 @@ pub struct World {
     traffic_rng: StdRng,
     catalog: Vec<Message>,
     report: Report,
-    oracle: Option<OracleState>,
+    /// The per-message ground truth (true `m_i`, `n_i`, `d_i`, token
+    /// balance), updated once per state transition. `Some` when
+    /// validation is enabled or the policy is `SdsrpOracle`; `None`
+    /// costs one branch per hook site.
+    truth: Option<TruthLedger>,
+    /// Whether buffer policies see the ledger's true `m_i`/`n_i` in
+    /// their message views: set for `SdsrpOracle` only, never because
+    /// validation is on.
+    oracle_inputs: bool,
     next_transfer_seq: u64,
     /// Messages generated during warm-up: simulated but excluded from
     /// metrics.
@@ -262,8 +253,8 @@ pub struct World {
     contact_trace: Option<ContactTrace>,
     recorder: Recorder,
     metrics: Option<WorldMetrics>,
-    /// Invariant checker + estimator oracle; `None` (the default) costs
-    /// one branch per hook site.
+    /// Invariant checker over [`Self::truth`] plus the estimator-error
+    /// sampling; `None` (the default) costs one branch per hook site.
     validator: Option<Box<Validator>>,
     validate_metrics: Option<ValidateMetrics>,
     /// `(receiver, message)` pairs whose refusal was already reported —
@@ -309,9 +300,10 @@ impl World {
     }
 
     /// Builds a world with a caller-supplied buffer policy per node —
-    /// the extension point for policies outside
-    /// [`PolicyKind`](crate::config::PolicyKind) (the scenario's own
-    /// `policy` field is ignored). See `examples/custom_policy.rs`.
+    /// the extension point for policies outside [`PolicyKind`]. The
+    /// scenario's own `policy` field only decides whether the policies
+    /// are fed the true `m_i`/`n_i` (it is [`PolicyKind::SdsrpOracle`]).
+    /// See `examples/custom_policy.rs`.
     pub fn build_with_policies(
         cfg: &ScenarioConfig,
         make_policy: &mut dyn FnMut(NodeId) -> Box<dyn dtn_buffer::policy::BufferPolicy>,
@@ -330,6 +322,9 @@ impl World {
                 )
             })
             .collect();
+        // The GBSD-style ablation reads the true m_i / n_i from the
+        // world's truth ledger instead of the Eq. 15/14 estimates.
+        let oracle_inputs = matches!(cfg.policy, PolicyKind::SdsrpOracle { .. });
         let mut queue = EventQueue::new();
         queue.push(SimTime::ZERO, WorldEvent::Tick);
         queue.push(SimTime::ZERO, WorldEvent::Generate);
@@ -417,10 +412,8 @@ impl World {
             traffic_rng: stream_rng(cfg.seed, streams::TRAFFIC),
             catalog: Vec::new(),
             report: Report::new(),
-            oracle: cfg.oracle.then(|| OracleState {
-                seen: Vec::new(),
-                holders: Vec::new(),
-            }),
+            truth: oracle_inputs.then(TruthLedger::default),
+            oracle_inputs,
             next_transfer_seq: 0,
             uncounted: HashSet::new(),
             contact_trace: None,
@@ -470,11 +463,12 @@ impl World {
         self.refresh_validate_metrics();
     }
 
-    /// Enables invariant checking and the estimator oracle for this
+    /// Enables invariant checking and estimator-error sampling for this
     /// run. Must be called before the first message is generated.
     ///
-    /// Every simulator state transition is mirrored into a ground-truth
-    /// ledger and every tick ends with a full-state sweep that
+    /// Every simulator state transition is recorded in the world's
+    /// ground-truth ledger (kept anyway when the policy is
+    /// `SdsrpOracle`) and every tick ends with a full-state sweep that
     /// cross-checks it (copy-token conservation, holder counts, buffer
     /// accounting, delivery/TTL hygiene, dropped-list gossip). When a
     /// recorder is attached, violations and estimator-error samples are
@@ -495,6 +489,7 @@ impl World {
                 | RoutingKind::Direct
         );
         self.validator = Some(Box::new(Validator::new(cfg, self.cfg.n_nodes, conserve)));
+        self.truth.get_or_insert_with(TruthLedger::default);
         self.refresh_validate_metrics();
     }
 
@@ -504,10 +499,21 @@ impl World {
         self.validator.is_some()
     }
 
-    /// Mutable access to the validator — fault injection for harness
-    /// self-tests and mid-run report inspection.
+    /// Mutable access to the validator — mid-run report inspection.
     pub fn validator_mut(&mut self) -> Option<&mut Validator> {
         self.validator.as_deref_mut()
+    }
+
+    /// Fault injection for harness self-tests: corrupts the truth
+    /// ledger's holder count (`n_i` bookkeeping) of one live message.
+    /// A correct validator must flag the next sweep with a
+    /// `holder_mismatch` violation — the seeded mutation CI uses to
+    /// prove the checker detects corruption. Returns whether a live
+    /// message was corrupted (false without a ledger or a live copy).
+    pub fn corrupt_holder_bookkeeping(&mut self) -> bool {
+        self.truth
+            .as_mut()
+            .is_some_and(TruthLedger::corrupt_holder_bookkeeping)
     }
 
     /// Runs a final validation sweep and takes the accumulated report.

@@ -86,11 +86,8 @@ impl World {
                     msg: id.0,
                     node: holder,
                 });
-                if let Some(o) = self.oracle.as_mut() {
-                    o.holders[id.index()] = o.holders[id.index()].saturating_sub(1);
-                }
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_expired(id, removed.copies);
+                if let Some(truth) = self.truth.as_mut() {
+                    truth.on_expired(id, removed.copies);
                 }
                 recycle_spray(&mut self.spray_pool, removed);
             }
@@ -227,21 +224,22 @@ impl World {
     }
 
     /// One full-state validation sweep: walks every buffer and lets the
-    /// validator cross-check its hook-path ledger against reality.
+    /// validator cross-check the truth ledger against reality.
     /// `Node.buffer` is a `BTreeMap`, so the walk (and the float
     /// accumulation inside the estimator statistics) is deterministic.
     pub(super) fn run_validation_sweep(&mut self) {
-        let Some(v) = self.validator.as_mut() else {
+        let (Some(v), Some(truth)) = (self.validator.as_mut(), self.truth.as_ref()) else {
             return;
         };
         let now = self.now;
-        v.begin_sweep(now, self.cfg.tick_secs);
+        v.begin_sweep(truth, now, self.cfg.tick_secs);
         for node in &self.nodes {
             v.sweep_node(now, node.id, node.used.as_u64(), node.capacity.as_u64());
             for copy in node.buffer.values() {
                 let msg = &self.catalog[copy.msg.index()];
                 let delivered_here = node.delivered.contains(&copy.msg);
                 v.sweep_copy(
+                    truth,
                     now,
                     node.id,
                     copy.msg,
@@ -252,7 +250,7 @@ impl World {
                 );
             }
         }
-        let outcome = v.finish_sweep(now);
+        let outcome = v.finish_sweep(truth, now);
         self.emit_sweep_outcome(&outcome);
     }
 

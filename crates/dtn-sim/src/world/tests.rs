@@ -23,7 +23,6 @@ fn tiny_two_node(policy: PolicyKind) -> ScenarioConfig {
         policy,
         routing: RoutingKind::SprayAndWaitBinary,
         seed: 7,
-        oracle: false,
         immunity: crate::config::ImmunityMode::None,
         message_size_max: None,
         traffic: Default::default(),
@@ -119,9 +118,27 @@ fn oracle_mode_runs_and_matches_structure() {
     let mut cfg = presets::smoke();
     cfg.duration_secs = 900.0;
     cfg.policy = PolicyKind::SdsrpOracle { lambda: 1e-3 };
-    cfg.oracle = true;
     let report = World::build(&cfg).run().report;
     assert!(report.created() > 0);
+}
+
+/// The truth ledger exists exactly when something reads it, and only
+/// `SdsrpOracle` feeds it to the policies: validation alone never does.
+#[test]
+fn truth_ledger_is_kept_for_validation_or_the_oracle_policy_only() {
+    let mut cfg = presets::smoke();
+    let ledger_of = |cfg: &ScenarioConfig, validate: bool| {
+        let mut world = World::build(cfg);
+        if validate {
+            world.enable_validation(dtn_validate::ValidateConfig::default());
+        }
+        (world.truth.is_some(), world.oracle_inputs)
+    };
+    assert_eq!(ledger_of(&cfg, false), (false, false));
+    assert_eq!(ledger_of(&cfg, true), (true, false));
+    cfg.policy = PolicyKind::SdsrpOracle { lambda: 1e-3 };
+    assert_eq!(ledger_of(&cfg, false), (true, true));
+    assert_eq!(ledger_of(&cfg, true), (true, true));
 }
 
 #[test]
@@ -489,10 +506,7 @@ fn seeded_corruption_is_detected_by_next_sweep() {
     let mut world = World::build(&cfg);
     world.enable_validation(dtn_validate::ValidateConfig::default());
     world.step_until(SimTime::from_secs(600.0));
-    world
-        .validator_mut()
-        .expect("enabled")
-        .corrupt_holder_bookkeeping();
+    assert!(world.corrupt_holder_bookkeeping());
     world.step_until(SimTime::from_secs(1200.0));
     let validation = world.take_validation_report().expect("enabled");
     assert!(

@@ -51,12 +51,8 @@ impl World {
         } else {
             self.uncounted.insert(msg.id);
         }
-        if let Some(o) = self.oracle.as_mut() {
-            o.seen.push(HashSet::new());
-            o.holders.push(0);
-        }
-        if let Some(v) = self.validator.as_mut() {
-            v.on_generated(
+        if let Some(truth) = self.truth.as_mut() {
+            truth.on_generated(
                 msg.id,
                 source,
                 msg.initial_copies,
@@ -115,10 +111,10 @@ impl World {
             let stats_before = node.policy.priority_cache_stats();
             let policy = node.policy.as_mut();
             let catalog = &self.catalog;
-            let oracle = self.oracle.as_ref();
+            let oracle = self.truth.as_ref().filter(|_| self.oracle_inputs);
             let candidates = node.buffer.values().map(|c| {
                 let m = &catalog[c.msg.index()];
-                let oi = oracle.map(|o| o.of(c.msg));
+                let oi = oracle.map(|t| t.m_and_n(c.msg));
                 let view = make_view(m, c, now, oi);
                 EvictionRank {
                     priority: policy.keep_priority(now, &view),
@@ -147,22 +143,16 @@ impl World {
                 policy,
                 reason: DropReason::Evicted,
             });
-            if let Some(o) = self.oracle.as_mut() {
-                o.holders[victim.index()] = o.holders[victim.index()].saturating_sub(1);
-            }
-            if let Some(v) = self.validator.as_mut() {
-                v.on_evicted(victim, node_id, removed.copies);
+            if let Some(truth) = self.truth.as_mut() {
+                truth.on_evicted(victim, node_id, removed.copies);
             }
             recycle_spray(&mut self.spray_pool, removed);
         }
         victims.clear();
         self.victim_scratch = victims;
         self.nodes[node_id.index()].insert_copy(copy, msg.size);
-        if let Some(o) = self.oracle.as_mut() {
-            o.holders[msg_id.index()] += 1;
-        }
-        if let Some(v) = self.validator.as_mut() {
-            v.on_inserted(msg_id, node_id);
+        if let Some(truth) = self.truth.as_mut() {
+            truth.on_inserted(msg_id, node_id);
         }
     }
 
@@ -177,7 +167,8 @@ impl World {
         self.dirty.mark(node_id);
         let now = self.now;
         let msg = self.catalog[msg_id.index()];
-        let oracle_info = self.oracle.as_ref().map(|o| o.of(msg_id));
+        let oracle = self.truth.as_ref().filter(|_| self.oracle_inputs);
+        let oracle_info = oracle.map(|t| t.m_and_n(msg_id));
         let incoming_tokens = copy.copies;
 
         let node = &mut self.nodes[node_id.index()];
@@ -191,7 +182,7 @@ impl World {
             .values()
             .map(|c| {
                 let m = &self.catalog[c.msg.index()];
-                let oi = self.oracle.as_ref().map(|o| o.of(c.msg));
+                let oi = oracle.map(|t| t.m_and_n(c.msg));
                 make_view(m, c, now, oi)
             })
             .collect();
@@ -225,8 +216,8 @@ impl World {
                     policy,
                     reason: DropReason::RejectedIncoming,
                 });
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_rejected_incoming(msg_id, node_id, incoming_tokens);
+                if let Some(truth) = self.truth.as_mut() {
+                    truth.on_rejected_incoming(msg_id, node_id, incoming_tokens);
                 }
                 recycle_spray(&mut self.spray_pool, copy);
                 false
@@ -245,23 +236,14 @@ impl World {
                         policy,
                         reason: DropReason::Evicted,
                     });
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.holders[victim.index()] = o.holders[victim.index()].saturating_sub(1);
-                    }
-                    if let Some(v) = self.validator.as_mut() {
-                        v.on_evicted(victim, node_id, removed.copies);
+                    if let Some(truth) = self.truth.as_mut() {
+                        truth.on_evicted(victim, node_id, removed.copies);
                     }
                     recycle_spray(&mut self.spray_pool, removed);
                 }
                 self.nodes[node_id.index()].insert_copy(copy, msg.size);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.holders[msg_id.index()] += 1;
-                    if node_id != msg.source {
-                        o.seen[msg_id.index()].insert(node_id);
-                    }
-                }
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_inserted(msg_id, node_id);
+                if let Some(truth) = self.truth.as_mut() {
+                    truth.on_inserted(msg_id, node_id);
                 }
                 true
             }

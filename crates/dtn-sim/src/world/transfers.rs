@@ -46,6 +46,7 @@ impl World {
     /// priority, ties broken deterministically.
     pub(super) fn best_candidate(&mut self, pair: NodePair) -> Option<Candidate> {
         let now = self.now;
+        let oracle = self.truth.as_ref().filter(|_| self.oracle_inputs);
         let mut best: Option<Candidate> = None;
         for (s_id, r_id) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
             let (sender, receiver) = two_nodes(&mut self.nodes, s_id, r_id);
@@ -66,7 +67,7 @@ impl World {
                 let peer_has = receiver.has(msg.id)
                     || receiver.delivered.contains(&msg.id)
                     || receiver.acked.contains(&msg.id);
-                let oi = self.oracle.as_ref().map(|o| o.of(msg.id));
+                let oi = oracle.map(|t| t.m_and_n(msg.id));
                 let view = make_view(msg, copy, now, oi);
                 let Some(kind) = sender.routing.eligibility(&ctx, &view, peer_has) else {
                     continue;
@@ -186,8 +187,8 @@ impl World {
                 }
                 let receiver = &mut self.nodes[f.to.index()];
                 receiver.delivered.insert(f.msg);
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_delivered(f.msg, f.to);
+                if let Some(truth) = self.truth.as_mut() {
+                    truth.on_delivered(f.msg, f.to);
                 }
                 if !self.uncounted.contains(&f.msg) {
                     let first = !self.report.is_delivered(f.msg);
@@ -206,9 +207,6 @@ impl World {
                         latency,
                         first,
                     });
-                }
-                if let Some(o) = self.oracle.as_mut() {
-                    o.seen[f.msg.index()].insert(f.to);
                 }
                 match self.cfg.immunity {
                     ImmunityMode::None => {}
@@ -305,15 +303,12 @@ impl World {
                 let incoming = {
                     let sender = &mut self.nodes[f.from.index()];
                     let mut copy = sender.remove_copy(f.msg, msg.size);
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.holders[f.msg.index()] = o.holders[f.msg.index()].saturating_sub(1);
-                    }
                     copy.received = now;
                     copy.hops += 1;
                     copy
                 };
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_handoff_out(f.msg);
+                if let Some(truth) = self.truth.as_mut() {
+                    truth.on_handoff_out(f.msg);
                 }
                 if !self.uncounted.contains(&f.msg) {
                     let copies = incoming.copies;
@@ -351,11 +346,8 @@ impl World {
                     policy,
                     reason: DropReason::ImmunityPurge,
                 });
-                if let Some(o) = self.oracle.as_mut() {
-                    o.holders[msg.index()] = o.holders[msg.index()].saturating_sub(1);
-                }
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_immunity_purge(msg, removed.copies);
+                if let Some(truth) = self.truth.as_mut() {
+                    truth.on_immunity_purge(msg, removed.copies);
                 }
                 recycle_spray(&mut self.spray_pool, removed);
             }
@@ -388,11 +380,8 @@ impl World {
                 policy,
                 reason: DropReason::ImmunityPurge,
             });
-            if let Some(o) = self.oracle.as_mut() {
-                o.holders[id.index()] = o.holders[id.index()].saturating_sub(1);
-            }
-            if let Some(v) = self.validator.as_mut() {
-                v.on_immunity_purge(id, removed.copies);
+            if let Some(truth) = self.truth.as_mut() {
+                truth.on_immunity_purge(id, removed.copies);
             }
             recycle_spray(&mut self.spray_pool, removed);
         }

@@ -1,19 +1,24 @@
 //! # dtn-validate
 //!
-//! Simulation invariants, a ground-truth estimator oracle and run
-//! fingerprints for the SDSRP reproduction.
+//! Simulation invariants, the ground-truth ledger and run fingerprints
+//! for the SDSRP reproduction.
 //!
-//! * [`validator`] — the [`validator::Validator`] the world drives via
-//!   event hooks and per-tick sweeps: copy-token conservation across
-//!   the spray tree, buffer-capacity and usage accounting, delivered
-//!   messages never resident at their destination, dropped-list gossip
-//!   monotonicity and soundness, and TTL-expiry timeliness. It also
-//!   tracks the true `m_i`/`n_i`/`d_i` per message and scores the
-//!   paper's Eq. 14/15 estimates against them.
+//! * [`truth`] — the world's one ground-truth ledger
+//!   ([`truth::TruthLedger`] of [`truth::MessageTruth`]): the true
+//!   `m_i`/`n_i`/`d_i` and token balance per message, updated once per
+//!   state transition. The `SdsrpOracle` ablation reads its inputs
+//!   from it.
+//! * [`validator`] — the [`validator::Validator`], a checker over that
+//!   ledger the world drives via a few hooks and per-tick sweeps:
+//!   copy-token conservation across the spray tree, holder counts
+//!   against the buffers, buffer-capacity and usage accounting,
+//!   delivered messages never resident at their destination,
+//!   dropped-list gossip monotonicity and soundness, and TTL-expiry
+//!   timeliness. It also scores the paper's Eq. 14/15 estimates
+//!   against the ledger.
 //! * [`violation`] — the invariant vocabulary
 //!   ([`violation::ViolationKind`], [`violation::Violation`]).
 //! * [`report`] — the per-run [`report::ValidationReport`].
-//! * [`truth`] — per-message ground truth ([`truth::MessageTruth`]).
 //! * [`oracle`] — closed-form analytic models, currently the binary
 //!   Spray and Wait delivery-delay CDF
 //!   ([`oracle::delay::DelayModel`]) with a KS-style deviation
@@ -23,8 +28,9 @@
 //!   comparison and golden snapshots.
 //!
 //! Validation is strictly opt-in: the simulator holds an
-//! `Option<Box<Validator>>` and every hook sits behind one branch, so a
-//! non-validated run pays nothing.
+//! `Option<TruthLedger>` and an `Option<Box<Validator>>`, and every
+//! hook sits behind one branch, so a run that neither validates nor
+//! runs `SdsrpOracle` pays nothing.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,6 +45,6 @@ pub mod violation;
 pub use fingerprint::ReportFingerprint;
 pub use oracle::delay::DelayModel;
 pub use report::{ErrStats, FaultLedger, ValidationReport};
-pub use truth::MessageTruth;
+pub use truth::{MessageTruth, TruthLedger};
 pub use validator::{EstimatorSweepSample, SweepOutcome, ValidateConfig, Validator, ViolationNote};
 pub use violation::{Violation, ViolationKind};

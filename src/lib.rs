@@ -7,7 +7,7 @@
 //! This crate re-exports the whole workspace under one roof so examples
 //! and downstream users can depend on a single package:
 //!
-//! * [`core`] — DES engine, geometry, statistics ([`dtn_core`]).
+//! * [`core`] — event queue, geometry, statistics ([`dtn_core`]).
 //! * [`mobility`] — movement models incl. the EPFL-trace substitute
 //!   ([`dtn_mobility`]).
 //! * [`net`] — radio contacts and transfers ([`dtn_net`]).
@@ -20,7 +20,7 @@
 //!   ([`dtn_analysis`]).
 //! * [`telemetry`] — metrics registry, structured event log and run
 //!   manifests ([`dtn_telemetry`]).
-//! * [`validate`] — simulation invariants, the estimator oracle and
+//! * [`validate`] — simulation invariants, the ground-truth ledger and
 //!   run fingerprints ([`dtn_validate`]); replay harnesses live in
 //!   [`sim::replay`].
 //! * [`fleet`] — distributed sweep fan-out: coordinator, worker

@@ -150,7 +150,6 @@ fn cases() -> Vec<(&'static str, ScenarioConfig)> {
                     transfer_abort_prob: 0.1,
                     ..churn()
                 };
-                c.oracle = true;
             }),
         ),
         (

@@ -113,8 +113,11 @@ fn taylor_truncation_ranks_differently_near_the_peak() {
 fn lambda_oracle_vs_online_differ_but_comparable() {
     let online = fingerprint(&congested(sdsrp_variant(true, true, None), 3));
     let oracle = fingerprint(&congested(
-        PolicyKind::SdsrpOracle {
-            lambda: 1.0 / 2000.0,
+        PolicyKind::SdsrpCustom {
+            lambda: LambdaMode::Oracle(1.0 / 2000.0),
+            taylor_terms: None,
+            reject_dropped: true,
+            gossip: true,
         },
         3,
     ));
@@ -200,17 +203,22 @@ fn sdsrp_hopcount_not_worse_than_fifo() {
 
 #[test]
 fn oracle_mode_bookkeeping_is_consistent() {
-    // Oracle mode maintains m_i/n_i inside the world; a full run must
-    // not trip any of its internal assertions and should deliver
-    // comparably to the estimated variant.
-    let mut cfg = congested(
+    // SdsrpOracle reads m_i/n_i from the world's truth ledger; a full
+    // validated run must not trip any of its internal assertions, the
+    // ledger must agree with the buffers at every sweep, and the run
+    // should deliver comparably to the estimated variant.
+    let cfg = congested(
         PolicyKind::SdsrpOracle {
             lambda: 1.0 / 2000.0,
         },
         7,
     );
-    cfg.oracle = true;
-    let r = World::build(&cfg).run().report;
+    let mut world = World::build(&cfg);
+    world.enable_validation(sdsrp::validate::ValidateConfig::default());
+    let out = world.run();
+    let validation = out.validation.expect("validation enabled");
+    assert!(validation.ok(), "{}", validation.summary());
+    let r = out.report;
     assert!(r.created() > 0);
     assert!(r.delivery_ratio() > 0.0);
 }

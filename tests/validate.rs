@@ -88,10 +88,7 @@ fn seeded_estimator_corruption_is_detected() {
     let mut world = World::build(&cfg);
     world.enable_validation(ValidateConfig::default());
     world.step_until(sdsrp::core::time::SimTime::from_secs(700.0));
-    world
-        .validator_mut()
-        .expect("validation enabled")
-        .corrupt_holder_bookkeeping();
+    assert!(world.corrupt_holder_bookkeeping(), "no live message");
     world.step_until(sdsrp::core::time::SimTime::from_secs(1500.0));
     let validation = world.take_validation_report().expect("validation enabled");
     assert!(!validation.ok(), "corruption went undetected");

@@ -1,8 +1,8 @@
 //! # dtn-core
 //!
-//! Foundation crate of the SDSRP reproduction: a deterministic
-//! discrete-event simulation (DES) engine plus the geometric, statistical
-//! and identifier primitives every other crate builds on.
+//! Foundation crate of the SDSRP reproduction: the deterministic event
+//! queue the simulator's event loop runs on, plus the geometric,
+//! statistical and identifier primitives every other crate builds on.
 //!
 //! The crate deliberately contains **no DTN semantics** — it only knows
 //! about time, events, 2-D space and numbers. The delay-tolerant-network
@@ -18,8 +18,6 @@
 //!   newtypes.
 //! * [`event`] — deterministic [`EventQueue`](event::EventQueue) with
 //!   stable FIFO tie-breaking at equal timestamps.
-//! * [`engine`] — a minimal event-driven run loop over a user-supplied
-//!   handler.
 //! * [`geometry`] — [`Point2`](geometry::Point2), [`Vec2`](geometry::Vec2),
 //!   [`Rect`](geometry::Rect).
 //! * [`grid`] — a uniform spatial hash grid for radius queries in amortised
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod engine;
 pub mod event;
 pub mod geometry;
 pub mod grid;

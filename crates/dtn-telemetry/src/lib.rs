@@ -9,8 +9,8 @@
 //!   replication, delivery, drops, refusals, gossip merges, contacts,
 //!   TTL expiry) and the per-kind [`event::EventTotals`].
 //! * [`ring`] — a bounded in-memory ring of recent events.
-//! * [`sink`] — the pluggable [`sink::EventSink`] trait with JSONL,
-//!   CSV and in-memory exporters.
+//! * [`sink`] — the pluggable [`sink::EventSink`] trait with JSONL and
+//!   in-memory exporters.
 //! * [`recorder`] — the [`recorder::Recorder`] handle the simulator
 //!   carries: when disabled, every emission is a single branch and the
 //!   event is never even constructed.
@@ -50,6 +50,6 @@ pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnaps
 pub use perf::peak_rss_bytes;
 pub use recorder::Recorder;
 pub use ring::EventRing;
-pub use sink::{CsvSink, EventSink, JsonlSink, MemorySink};
+pub use sink::{EventSink, JsonlSink, MemorySink};
 pub use sweep::SweepEvent;
 pub use timeseries::{TimePoint, TimeSeries};

@@ -1,10 +1,10 @@
 //! Pluggable event exporters.
 //!
 //! A [`Recorder`](crate::recorder::Recorder) can stream every recorded
-//! event into an [`EventSink`]: JSONL for full fidelity, CSV for a
-//! compact flat projection, or an in-memory sink for tests. Sink errors
-//! are reported back to the recorder, which stores the first one rather
-//! than panicking mid-simulation.
+//! event into an [`EventSink`]: JSONL for full fidelity, or an
+//! in-memory sink for tests. Sink errors are reported back to the
+//! recorder, which stores the first one rather than panicking
+//! mid-simulation.
 
 use crate::event::SimEvent;
 use std::fs::File;
@@ -50,47 +50,6 @@ impl<W: Write> EventSink for JsonlSink<W> {
     fn on_event(&mut self, ev: &SimEvent) -> io::Result<()> {
         self.w.write_all(ev.to_jsonl().as_bytes())?;
         self.w.write_all(b"\n")
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.w.flush()
-    }
-}
-
-/// Writes the compact CSV projection (`SimEvent::to_csv_row`), header
-/// included.
-pub struct CsvSink<W: Write> {
-    w: W,
-    wrote_header: bool,
-}
-
-impl CsvSink<BufWriter<File>> {
-    /// Creates (truncating) a CSV file at `path`.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(CsvSink {
-            w: BufWriter::new(File::create(path)?),
-            wrote_header: false,
-        })
-    }
-}
-
-impl<W: Write> CsvSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(w: W) -> Self {
-        CsvSink {
-            w,
-            wrote_header: false,
-        }
-    }
-}
-
-impl<W: Write> EventSink for CsvSink<W> {
-    fn on_event(&mut self, ev: &SimEvent) -> io::Result<()> {
-        if !self.wrote_header {
-            self.wrote_header = true;
-            writeln!(self.w, "{}", SimEvent::CSV_HEADER)?;
-        }
-        writeln!(self.w, "{}", ev.to_csv_row())
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -169,22 +128,6 @@ mod tests {
             let v: serde_json::Value = serde_json::from_str(line).expect("valid JSONL");
             assert!(v["kind"].as_str().is_some());
         }
-    }
-
-    #[test]
-    fn csv_sink_writes_header_once() {
-        let mut buf = Vec::new();
-        {
-            let mut s = CsvSink::new(&mut buf);
-            for ev in sample() {
-                s.on_event(&ev).unwrap();
-            }
-            s.flush().unwrap();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some(SimEvent::CSV_HEADER));
-        assert_eq!(lines.count(), 2);
     }
 
     #[test]

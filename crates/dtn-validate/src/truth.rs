@@ -80,29 +80,14 @@ pub struct TruthLedger {
 }
 
 impl TruthLedger {
-    /// Messages generated so far.
-    pub fn len(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// Whether no message has been generated yet.
-    pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
-    }
-
-    /// The truth about `msg`, if it was generated.
-    pub fn get(&self, msg: MessageId) -> Option<&MessageTruth> {
-        self.messages.get(msg.index())
+    /// Every generated message's truth, indexed by message id.
+    pub fn messages(&self) -> &[MessageTruth] {
+        &self.messages
     }
 
     /// The truth about `msg`. Panics if it was never generated.
     pub fn of(&self, msg: MessageId) -> &MessageTruth {
         &self.messages[msg.index()]
-    }
-
-    /// Every message's truth, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &MessageTruth> {
-        self.messages.iter()
     }
 
     /// The true `(m_i, n_i)` of `msg` — what the `SdsrpOracle` ablation
@@ -306,7 +291,6 @@ mod tests {
         assert!(l.corrupt_holder_bookkeeping());
         assert_eq!(l.of(MessageId(0)).holders, 0);
         assert_eq!(l.of(MessageId(1)).holders, 2);
-        assert_eq!(l.len(), 2);
-        assert!(l.get(MessageId(2)).is_none());
+        assert_eq!(l.messages().len(), 2);
     }
 }

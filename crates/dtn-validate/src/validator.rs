@@ -246,7 +246,8 @@ impl Validator {
             for msg in &rec.dropped {
                 self.report.checks_run += 1;
                 let really_dropped = truth
-                    .get(*msg)
+                    .messages()
+                    .get(msg.index())
                     .is_some_and(|mt| mt.droppers.contains(origin));
                 if !really_dropped {
                     self.record(
@@ -270,9 +271,9 @@ impl Validator {
     /// linger before the next purge.
     pub fn begin_sweep(&mut self, truth: &TruthLedger, now: SimTime, tick_secs: f64) {
         self.live_tokens.clear();
-        self.live_tokens.resize(truth.len(), 0);
+        self.live_tokens.resize(truth.messages().len(), 0);
         self.holders_swept.clear();
-        self.holders_swept.resize(truth.len(), 0);
+        self.holders_swept.resize(truth.messages().len(), 0);
         self.cur_node = None;
         self.ttl_slack = tick_secs;
         self.sampling = now.as_secs() >= self.next_sample_at;
@@ -359,7 +360,7 @@ impl Validator {
         self.close_node(now);
         let t = now.as_secs();
 
-        for (idx, mt) in truth.iter().enumerate() {
+        for (idx, mt) in truth.messages().iter().enumerate() {
             self.report.checks_run += 1;
             if self.holders_swept[idx] != mt.holders {
                 let (swept, tracked) = (self.holders_swept[idx], mt.holders);

@@ -17,19 +17,19 @@
 //! pre-optimisation algorithm) so every report carries its own
 //! cached-vs-uncached speedup, and a sweep-scaling section times the
 //! buffer-pressure cell batch on the in-process thread pool (baseline)
-//! and on the `dtn-fleet` coordinator at 1/2/4 workers over both the
-//! subprocess backend and loopback TCP (`dtn-fleet-worker --connect`
-//! children against a `127.0.0.1` listener), asserting every fleet row
-//! is bit-identical to the baseline. A
+//! and on the `dtn-fleet` coordinator at 1/2/4 subprocess workers,
+//! asserting every fleet row is bit-identical to the baseline. A
 //! thread-scaling section runs one large world (10k nodes; 2k with
 //! `--quick`) with the parallel tick phases on 1/2/4/8 intra-run
 //! threads, gating on bit-identical fingerprints across all counts.
-//! A Taylor-ablation section reproduces the paper's Fig. 4
-//! accuracy/compute trade-off as data: for each truncation depth
-//! `k ∈ {1, 2, 4, 8, 16}` it reports the analytic worst-case relative
-//! error of the Eq. 13 Taylor priority against the exact closed form
-//! (swept over a dense delivery-probability grid) next to the
-//! buffer-pressure wall clock and delivery ratio at that depth.
+//! A Taylor-ablation section times the exact Eq. 10 priority against
+//! the cheapest Eq. 13 truncation (`k = 1`) on the buffer-pressure
+//! scenario, next to the analytic worst-case relative error of the
+//! truncation (swept over a dense delivery-probability grid). Deeper
+//! truncations gave the same delivery and drops as `k = 1` there, and
+//! `tests/sdsrp_behaviour.rs` pins that every depth decides alike on a
+//! congested smoke scenario; the error-vs-`k` curve of Fig. 4 is the
+//! `fig4` binary's analytic table.
 //! A congestion section runs the paper's four baseline policies plus
 //! the two congestion-adaptive variants (occupancy-gated admission,
 //! tiered retention) on the buffer-pressure scenario, recording
@@ -50,10 +50,7 @@
 //! dtn-bench [--quick] [--out FILE] [--iters N]
 //! ```
 
-use dtn_fleet::{
-    locate_worker, run_fleet, FleetOptions, LocalTcpWorkers, SubprocessTransport, TcpTransport,
-    Transport,
-};
+use dtn_fleet::{locate_worker, run_fleet, FleetOptions, SubprocessTransport};
 use dtn_sim::config::{presets, PolicyKind, ScenarioConfig};
 use dtn_sim::replay::fingerprint;
 use dtn_sim::sweep::{run_cells, CellJob, CellRun, SweepOptions};
@@ -101,8 +98,7 @@ struct ScenarioResult {
 /// One sweep-scaling entry: the buffer-pressure cell batch on `workers`
 /// workers of the given transport (`"in-process"` = `run_cells` thread
 /// pool, `"subprocess"` = `dtn-fleet` coordinator with stdio
-/// `dtn-fleet-worker` children, `"tcp"` = the same children dialing a
-/// loopback listener with `--connect`).
+/// `dtn-fleet-worker` children).
 #[derive(Serialize)]
 struct ScalingResult {
     workers: usize,
@@ -435,25 +431,25 @@ fn bench_scaling_inprocess(quick: bool, threads: usize) -> (ScalingResult, Vec<O
     (row, out.runs)
 }
 
-/// Times the cell batch through the `dtn-fleet` coordinator on an
-/// already-built transport and checks the per-cell results are
+/// Times the cell batch through the `dtn-fleet` coordinator on
+/// `workers` subprocess workers and checks the per-cell results are
 /// bit-identical to the in-process baseline.
-fn run_scaling_row(
+fn bench_scaling_fleet(
     quick: bool,
     workers: usize,
-    label: &str,
-    transport: &dyn Transport,
+    worker_bin: &Path,
     baseline: &[Option<CellRun>],
 ) -> ScalingResult {
     let jobs = scaling_jobs(quick);
     let cells = jobs.len();
+    let transport = SubprocessTransport::new(worker_bin.to_path_buf());
     let opts = FleetOptions {
         workers,
         ..FleetOptions::default()
     };
     let started = Instant::now();
-    let run = run_fleet(&jobs, transport, &opts).unwrap_or_else(|e| {
-        eprintln!("FATAL: fleet scaling row ({workers} {label} workers) failed: {e}");
+    let run = run_fleet(&jobs, &transport, &opts).unwrap_or_else(|e| {
+        eprintln!("FATAL: fleet scaling row ({workers} subprocess workers) failed: {e}");
         std::process::exit(1);
     });
     let wall = started.elapsed().as_secs_f64();
@@ -468,56 +464,23 @@ fn run_scaling_row(
     let fingerprints_match_baseline = run.output.runs == baseline;
     if !fingerprints_match_baseline {
         eprintln!(
-            "FATAL: fleet scaling row ({workers} {label} workers) diverged from the in-process baseline"
+            "FATAL: fleet scaling row ({workers} subprocess workers) diverged from the in-process baseline"
         );
     }
     let events_total = run.output.totals.total();
     eprintln!(
-        "sweep-scaling    {workers:>2} {label} worker(s): {cells} cells in {wall:7.3}s ({:.0} events/s)",
+        "sweep-scaling    {workers:>2} subprocess worker(s): {cells} cells in {wall:7.3}s ({:.0} events/s)",
         events_total as f64 / wall
     );
     ScalingResult {
         workers,
-        transport: label.into(),
+        transport: "subprocess".into(),
         cells,
         wall_clock_secs: wall,
         events_total,
         events_per_sec: events_total as f64 / wall,
         fingerprints_match_baseline,
     }
-}
-
-/// The subprocess-backend scaling row.
-fn bench_scaling_fleet(
-    quick: bool,
-    workers: usize,
-    worker_bin: &Path,
-    baseline: &[Option<CellRun>],
-) -> ScalingResult {
-    let transport = SubprocessTransport::new(worker_bin.to_path_buf());
-    run_scaling_row(quick, workers, "subprocess", &transport, baseline)
-}
-
-/// The loopback-TCP scaling row: a fresh listener on `127.0.0.1:0` and
-/// `workers` local `dtn-fleet-worker --connect` children per row.
-fn bench_scaling_tcp(
-    quick: bool,
-    workers: usize,
-    worker_bin: &Path,
-    baseline: &[Option<CellRun>],
-) -> ScalingResult {
-    let transport = TcpTransport::bind("127.0.0.1:0").unwrap_or_else(|e| {
-        eprintln!("FATAL: tcp scaling row ({workers} workers): {e}");
-        std::process::exit(1);
-    });
-    let _children =
-        LocalTcpWorkers::spawn(worker_bin, transport.local_addr(), workers, None, None, &[])
-            .unwrap_or_else(|e| {
-                eprintln!("FATAL: tcp scaling row ({workers} workers): {e}");
-                std::process::exit(1);
-            });
-    transport.expect_workers(workers);
-    run_scaling_row(quick, workers, "tcp", &transport, baseline)
 }
 
 /// Analytic worst-case relative error of the `k`-term Eq. 13 Taylor
@@ -538,19 +501,15 @@ fn taylor_max_rel_err(terms: usize) -> f64 {
     worst
 }
 
-/// The Fig. 4 ablation: the exact closed form plus each Taylor depth on
-/// the buffer-pressure scenario — analytic error next to measured wall
-/// clock and delivery ratio, so the accuracy/compute trade-off lands in
-/// the report as data.
+/// The Fig. 4 timing rows: the exact closed form and the `k = 1`
+/// truncation on the buffer-pressure scenario — analytic error next to
+/// measured wall clock and delivery ratio. Deeper truncations are not
+/// run: on this scenario they gave the same delivery and drops as
+/// `k = 1`.
 fn bench_taylor_ablation(quick: bool) -> Vec<TaylorAblationResult> {
-    let depths: &[usize] = if quick {
-        &[0, 1, 8]
-    } else {
-        &[0, 1, 2, 4, 8, 16]
-    };
-    depths
-        .iter()
-        .map(|&terms| {
+    [0, 1]
+        .into_iter()
+        .map(|terms| {
             let mut cfg = buffer_pressure_cfg(quick);
             cfg.policy = PolicyKind::SdsrpCustom {
                 lambda: sdsrp_core::LambdaMode::Online {
@@ -714,23 +673,14 @@ fn main() {
     let golden_fingerprint_ok = golden_check(&scenarios[0].fingerprint) && golden_check_parallel();
 
     // Scaling curve: the in-process single-thread baseline, then the
-    // dtn-fleet curve at 1/2/4 workers over the subprocess backend and
-    // again over loopback TCP. Fleet rows gate on bit-identical
-    // per-cell results against the baseline.
+    // dtn-fleet curve at 1/2/4 subprocess workers. Fleet rows gate on
+    // bit-identical per-cell results against the baseline.
     let (baseline_row, baseline_runs) = bench_scaling_inprocess(quick, 1);
     let mut sweep_scaling = vec![baseline_row];
     match locate_worker() {
         Ok(worker_bin) => {
             for workers in [1, 2, 4] {
                 sweep_scaling.push(bench_scaling_fleet(
-                    quick,
-                    workers,
-                    &worker_bin,
-                    &baseline_runs,
-                ));
-            }
-            for workers in [1, 2, 4] {
-                sweep_scaling.push(bench_scaling_tcp(
                     quick,
                     workers,
                     &worker_bin,
@@ -748,7 +698,7 @@ fn main() {
     // fingerprint divergence, so reaching here means all rows agree).
     let thread_scaling = bench_thread_scaling(quick);
 
-    // Fig. 4 as data: accuracy vs compute per Taylor depth.
+    // Fig. 4 as data: exact vs k = 1 accuracy and compute.
     let taylor_ablation = bench_taylor_ablation(quick);
 
     // Congestion-adaptive variants vs the paper's four under pressure.

@@ -13,11 +13,15 @@ fn fig4(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_flag_exits_2_with_usage() {
-    let out = fig4(&["--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--bogus") && err.contains("usage:"), "{err}");
-    assert!(out.stdout.is_empty(), "nothing ran");
+    // `--transport` is a retired fleet flag: it must fail loudly, not be
+    // ignored.
+    for args in [&["--bogus"][..], &["--transport", "tcp"][..]] {
+        let out = fig4(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(args[0]) && err.contains("usage:"), "{err}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
 }
 
 #[test]

@@ -4,33 +4,19 @@
 //! not know to [`FleetCli::parse_flag`], then run every sweep through
 //! [`FleetCli::run_sweep`]. That stays in-process
 //! ([`run_sweep_hardened`]) unless `--workers N` asked for a fleet, in
-//! which case it builds the subprocess or TCP transport the flags
-//! describe and runs the sweep on it.
+//! which case it runs the sweep on `dtn-fleet-worker` subprocesses.
 
 use crate::coordinator::{run_sweep_fleet, FleetOptions};
 use crate::subprocess::{locate_worker, SubprocessTransport};
-use crate::tcp::TcpTransport;
-use crate::transport::{FleetError, Transport};
+use crate::transport::FleetError;
 use dtn_sim::sweep::{run_sweep_hardened, SweepOptions, SweepOutput, SweepSpec};
 use dtn_telemetry::SweepEvent;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// Usage text of the fleet flags, for the front ends' usage messages.
 pub const FLEET_USAGE: &str = "[--workers N [--worker-bin FILE] [--cell-timeout SECS]\n\
-     \t[--worker-timeout SECS] [--retries N] [--worker-arg ARG]...\n\
-     \t[--transport subprocess|tcp] [--listen ADDR] [--token SECRET]\n\
-     \t[--accept-timeout SECS]]";
-
-/// The fleet backend `--transport` selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    /// Spawn `dtn-fleet-worker` subprocesses (the default).
-    Subprocess,
-    /// Listen on `--listen` for `dtn-fleet-worker --connect` peers.
-    Tcp,
-}
+     \t[--worker-timeout SECS] [--retries N] [--worker-arg ARG]...]";
 
 /// Parsed fleet flags.
 #[derive(Clone)]
@@ -39,20 +25,11 @@ pub struct FleetCli {
     /// `--worker-timeout` and `--retries`. Everything else keeps
     /// [`FleetOptions::default`].
     pub options: FleetOptions<'static>,
-    /// `--transport subprocess|tcp`.
-    pub transport: TransportKind,
     /// `--worker-bin`: the worker binary (default: [`locate_worker`]).
     pub worker_bin: Option<PathBuf>,
     /// `--worker-arg`, repeatable: extra arguments for every subprocess
     /// worker (e.g. the `--fail-once` fault hook).
     pub worker_args: Vec<String>,
-    /// `--listen`: TCP bind address (the chosen port is printed).
-    pub listen: String,
-    /// `--token`: shared secret for the TCP handshake.
-    pub token: Option<String>,
-    /// `--accept-timeout`: seconds to wait for each of the first N TCP
-    /// workers to dial in.
-    pub accept_timeout_secs: f64,
 }
 
 impl Default for FleetCli {
@@ -62,12 +39,8 @@ impl Default for FleetCli {
                 workers: 0,
                 ..FleetOptions::default()
             },
-            transport: TransportKind::Subprocess,
             worker_bin: None,
             worker_args: Vec::new(),
-            listen: "127.0.0.1:0".to_string(),
-            token: None,
-            accept_timeout_secs: 30.0,
         }
     }
 }
@@ -82,7 +55,7 @@ impl FleetCli {
     /// Parses `args[*i]` if it is a fleet flag: its value is consumed
     /// too (`*i` ends on it) and `Ok(true)` returned. Any other argument
     /// returns `Ok(false)` with `*i` untouched. A missing or malformed
-    /// value, or an unknown transport, is an `Err` naming the flag.
+    /// value is an `Err` naming the flag.
     pub fn parse_flag(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
         let flag = args[*i].as_str();
         let mut value = || {
@@ -98,20 +71,6 @@ impl FleetCli {
             "--retries" => self.options.max_cell_retries = number(flag, &value()?)?,
             "--worker-bin" => self.worker_bin = Some(value()?.into()),
             "--worker-arg" => self.worker_args.push(value()?),
-            "--transport" => {
-                self.transport = match value()?.as_str() {
-                    "subprocess" => TransportKind::Subprocess,
-                    "tcp" => TransportKind::Tcp,
-                    other => {
-                        return Err(format!(
-                            "--transport: unknown transport {other:?} (subprocess|tcp)"
-                        ))
-                    }
-                }
-            }
-            "--listen" => self.listen = value()?,
-            "--token" => self.token = Some(value()?),
-            "--accept-timeout" => self.accept_timeout_secs = number(flag, &value()?)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -121,9 +80,7 @@ impl FleetCli {
     /// fleet these flags describe, carrying over `opts`' validation,
     /// checkpoint and callbacks (its thread counts are in-process only).
     /// A fleet run logs worker spawns and losses as JSONL events on
-    /// stderr, then a stats line and one line per worker. TCP binds one
-    /// listener per process, reused by every later sweep (fig8/fig9 run
-    /// three), so `--reconnect` workers keep dialing the same port.
+    /// stderr, then a stats line and one line per worker.
     pub fn run_sweep(
         &self,
         spec: &SweepSpec,
@@ -132,32 +89,14 @@ impl FleetCli {
         if self.options.workers == 0 {
             return Ok(run_sweep_hardened(spec, &opts));
         }
-        static TCP: OnceLock<TcpTransport> = OnceLock::new();
-        let subprocess;
-        let transport: &dyn Transport = match self.transport {
-            TransportKind::Tcp => {
-                let tcp = match TCP.get() {
-                    Some(tcp) => tcp,
-                    None => {
-                        let tcp = self.bind_tcp()?;
-                        TCP.get_or_init(|| tcp)
-                    }
-                };
-                tcp.expect_workers(self.options.workers);
-                tcp
-            }
-            TransportKind::Subprocess => {
-                let worker_bin = match &self.worker_bin {
-                    Some(path) => path.clone(),
-                    None => locate_worker()?,
-                };
-                subprocess = SubprocessTransport {
-                    checkpoint: opts.checkpoint.as_ref().map(|ck| ck.path.clone()),
-                    extra_args: self.worker_args.clone(),
-                    ..SubprocessTransport::new(worker_bin)
-                };
-                &subprocess
-            }
+        let worker_bin = match &self.worker_bin {
+            Some(path) => path.clone(),
+            None => locate_worker()?,
+        };
+        let transport = SubprocessTransport {
+            checkpoint: opts.checkpoint.as_ref().map(|ck| ck.path.clone()),
+            extra_args: self.worker_args.clone(),
+            ..SubprocessTransport::new(worker_bin)
         };
         let events = |ev: &SweepEvent| {
             if matches!(
@@ -172,7 +111,7 @@ impl FleetCli {
         };
         let (out, stats) = run_sweep_fleet(
             spec,
-            transport,
+            &transport,
             &FleetOptions {
                 validate: opts.validate,
                 checkpoint: opts.checkpoint.clone(),
@@ -205,27 +144,6 @@ impl FleetCli {
             );
         }
         Ok(out)
-    }
-
-    fn bind_tcp(&self) -> Result<TcpTransport, FleetError> {
-        let tcp = TcpTransport::bind(&self.listen)?
-            .with_token(self.token.clone())
-            .with_timeouts(
-                self.accept_timeout_secs,
-                self.options.worker_timeout_secs.max(1.0),
-            );
-        eprintln!(
-            "fleet: listening on {addr} (token {}), waiting for {} worker(s): start \
-             `dtn-fleet-worker --connect {addr}` (add --reconnect to serve several sweeps)",
-            if self.token.is_some() {
-                "required"
-            } else {
-                "none"
-            },
-            self.options.workers,
-            addr = tcp.local_addr(),
-        );
-        Ok(tcp)
     }
 }
 
@@ -263,14 +181,6 @@ mod tests {
             "--fail-once",
             "--worker-arg",
             "*:/tmp/m",
-            "--transport",
-            "tcp",
-            "--listen",
-            "0.0.0.0:47000",
-            "--token",
-            "s3cret",
-            "--accept-timeout",
-            "5",
         ])
         .expect("parses");
         assert_eq!(cli.options.workers, 3);
@@ -279,10 +189,6 @@ mod tests {
         assert_eq!(cli.options.max_cell_retries, 4);
         assert_eq!(cli.worker_bin, Some(PathBuf::from("/opt/w")));
         assert_eq!(cli.worker_args, ["--fail-once", "*:/tmp/m"]);
-        assert_eq!(cli.transport, TransportKind::Tcp);
-        assert_eq!(cli.listen, "0.0.0.0:47000");
-        assert_eq!(cli.token.as_deref(), Some("s3cret"));
-        assert_eq!(cli.accept_timeout_secs, 5.0);
     }
 
     #[test]
@@ -303,9 +209,7 @@ mod tests {
             cli.options.max_worker_restarts,
             defaults.max_worker_restarts
         );
-        assert_eq!(cli.transport, TransportKind::Subprocess);
-        assert_eq!(cli.listen, "127.0.0.1:0");
-        assert!(cli.worker_bin.is_none() && cli.token.is_none());
+        assert!(cli.worker_bin.is_none());
         assert!(cli.worker_args.is_empty());
     }
 
@@ -316,23 +220,30 @@ mod tests {
             ("--cell-timeout", "soon"),
             ("--worker-timeout", "x"),
             ("--retries", "-1"),
-            ("--accept-timeout", ""),
         ] {
             let err = parse(&[flag, value]).err().expect("rejected");
             assert!(err.starts_with(flag), "{flag}: {err}");
         }
-        let err = parse(&["--transport", "udp"]).err().expect("rejected");
-        assert!(err.contains("--transport") && err.contains("udp"), "{err}");
         let err = parse(&["--workers"]).err().expect("missing value");
         assert!(err.contains("--workers"), "{err}");
     }
 
     #[test]
     fn other_flags_are_left_to_the_caller() {
-        let args = vec!["--seeds".to_string(), "3".to_string()];
-        let mut cli = FleetCli::default();
-        let mut i = 0;
-        assert_eq!(cli.parse_flag(&args, &mut i), Ok(false));
-        assert_eq!(i, 0);
+        // The TCP transport's flags are among them, so a front end
+        // rejects them as unknown instead of ignoring them.
+        for flag in [
+            "--seeds",
+            "--transport",
+            "--listen",
+            "--token",
+            "--accept-timeout",
+        ] {
+            let args = vec![flag.to_string(), "3".to_string()];
+            let mut cli = FleetCli::default();
+            let mut i = 0;
+            assert_eq!(cli.parse_flag(&args, &mut i), Ok(false), "{flag}");
+            assert_eq!(i, 0, "{flag}");
+        }
     }
 }

@@ -102,7 +102,7 @@ pub struct WorkerUtilization {
 /// What the fleet did, beyond the sweep output itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
-    /// Transport label (`"subprocess"`, `"tcp"`).
+    /// Transport label (`"subprocess"`).
     pub transport: String,
     /// Worker slots spawned.
     pub workers: usize,
@@ -502,28 +502,8 @@ impl Fleet<'_, '_> {
         }
     }
 
-    /// Revives dead worker slots with connections the transport has
-    /// queued (TCP late-joiners). Slots whose restart budget is spent
-    /// stay dead; the connection waits for the next eligible loss.
-    fn adopt_waiting(&mut self) {
-        while self.transport.waiting_workers() > 0 && !self.pending.is_empty() {
-            let Some(w) = (0..self.workers.len()).find(|&w| {
-                self.workers[w].dead && self.workers[w].restarts < self.opts.max_worker_restarts
-            }) else {
-                break;
-            };
-            let restarts = self.workers[w].restarts;
-            if !self.spawn_slot(w, restarts + 1) {
-                break;
-            }
-            self.worker_restarts += 1;
-            self.dispatch_to(w);
-        }
-    }
-
     /// Clock-driven supervision: cell timeouts and heartbeat silence.
     fn tick(&mut self) {
-        self.adopt_waiting();
         for w in 0..self.workers.len() {
             if self.workers[w].dead {
                 continue;
@@ -559,12 +539,6 @@ impl Fleet<'_, '_> {
     /// When no worker is left to run them, pending cells fail
     /// structurally instead of hanging the sweep.
     fn fail_stranded(&mut self) {
-        if self.workers.iter().any(|w| !w.dead) {
-            return;
-        }
-        // Last chance: a late-joining TCP worker can rescue a fleet
-        // whose spawned workers all died.
-        self.adopt_waiting();
         if self.workers.iter().any(|w| !w.dead) {
             return;
         }

@@ -20,20 +20,16 @@
 //!   [`dtn_sim::sweep::run_sweep_hardened`].
 //! * [`subprocess`] spawns the thin `dtn-fleet-worker` binary per
 //!   worker slot and carries [`protocol`] messages as length-prefixed
-//!   frames over the child's stdin/stdout.
-//! * [`tcp`] is the network backend: `dtn-fleet-worker --connect`
-//!   peers dial a listening coordinator, authenticate with a versioned
-//!   `Hello` (+ optional shared-secret token) and carry the same
-//!   protocol in length-prefixed frames. Late joiners revive dead
-//!   worker slots mid-sweep.
-//! * [`worker`] is the worker loop both backends' workers run; each
-//!   cell goes through [`dtn_sim::sweep::run_cell`].
+//!   frames over the child's stdin/stdout. It is the only backend: the
+//!   fleet runs on one host, and the trait seam lets tests drive the
+//!   coordinator with an in-process fake worker.
+//! * [`worker`] is the worker loop the `dtn-fleet-worker` binary runs;
+//!   each cell goes through [`dtn_sim::sweep::run_cell`].
 //! * [`cli`] parses the fleet flags every sweep front end shares and
 //!   runs a sweep in-process or on the fleet they describe.
 //!
 //! See DESIGN.md ("Fleet wire protocol") for the full message state
-//! machine and failure→retry semantics, and EXPERIMENTS.md for the
-//! multi-host runbook.
+//! machine and failure→retry semantics.
 //!
 //! # Determinism
 //!
@@ -52,17 +48,15 @@ pub mod merge;
 pub mod protocol;
 pub mod schedule;
 pub mod subprocess;
-pub mod tcp;
 pub mod transport;
 pub mod worker;
 
-pub use cli::{FleetCli, TransportKind, FLEET_USAGE};
+pub use cli::{FleetCli, FLEET_USAGE};
 pub use coordinator::{
     run_fleet, run_sweep_fleet, FleetOptions, FleetRun, FleetStats, WorkerUtilization,
 };
 pub use merge::{discover_shards, shard_path};
 pub use protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 pub use subprocess::{locate_worker, SubprocessTransport};
-pub use tcp::{connect_worker_main, parse_socket_addr, LocalTcpWorkers, TcpTransport};
 pub use transport::{Envelope, FleetError, Transport, WorkerHandle};
 pub use worker::{worker_main, FaultHook, WorkerConfig};

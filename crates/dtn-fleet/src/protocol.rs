@@ -1,8 +1,7 @@
 //! The coordinator/worker wire protocol.
 //!
 //! Messages are externally-tagged serde enums, one JSON value per
-//! frame. Every transport (subprocess stdio and TCP) uses the same
-//! length-prefixed framing: each frame is
+//! frame. Frames are length-prefixed: each is
 //! `<decimal byte length>\n<json>\n` (see [`write_frame`] /
 //! [`read_frame`]).
 //!
@@ -13,9 +12,8 @@
 //!   resynchronise.
 //!
 //! [`PROTOCOL_VERSION`] in the worker's `Hello` guards against
-//! genuinely incompatible pairings; the TCP transport additionally
-//! checks the `Hello` auth token before a connection may join the
-//! fleet, answering [`CoordinatorMsg::Reject`] on mismatch.
+//! genuinely incompatible pairings: the coordinator tears down a worker
+//! that speaks another version.
 //!
 //! Since protocol v2 an [`CoordinatorMsg::Assign`] carries only the
 //! cell's canonical config *hash*; the config body streams once per
@@ -32,7 +30,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// v2: `Assign` dropped the inline `config` body (config-push by
 /// hash), `Hello` gained the optional auth `token`.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v3: `Hello` lost the `token` and the coordinator's `Reject` is gone
+/// (both served only the retired network transport).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a single frame's payload, enforced by
 /// [`read_frame`]. Generous — the largest real frame is a `Config`
@@ -74,13 +74,6 @@ pub enum CoordinatorMsg {
         /// Dispatch attempt number (0 on first dispatch).
         retry: u32,
     },
-    /// Handshake refusal (TCP only): the worker's `Hello` failed the
-    /// version or token check. Carries a human-readable reason so the
-    /// worker can print something actionable before exiting.
-    Reject {
-        /// Why the connection was refused.
-        reason: String,
-    },
     /// Drain and exit cleanly.
     Shutdown,
 }
@@ -92,19 +85,12 @@ pub enum CoordinatorMsg {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkerMsg {
-    /// First frame after spawn/connect: liveness + version handshake.
-    /// Over TCP this is also the authentication frame — the listener
-    /// reads it before the connection may join the fleet.
+    /// First frame after spawn: liveness + version handshake.
     Hello {
         /// OS process id (0 for in-process transports).
         pid: u64,
         /// [`PROTOCOL_VERSION`] the worker speaks.
         protocol: u32,
-        /// Shared-secret fleet token (TCP). Absent on stdio transports
-        /// where the process tree is the trust boundary; pre-v2 peers
-        /// omit the field entirely, which parses as `None`.
-        #[serde(default)]
-        token: Option<String>,
     },
     /// Periodic liveness signal, emitted from a side thread so it keeps
     /// flowing while a cell executes.
@@ -244,39 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn hello_token_round_trips_and_defaults() {
-        let msg = WorkerMsg::Hello {
-            pid: 9,
-            protocol: PROTOCOL_VERSION,
-            token: Some("sesame".into()),
-        };
-        let back: WorkerMsg = serde_json::from_str(&msg.to_line()).expect("parse");
-        assert_eq!(back, msg);
-        // A v1-era Hello without the token field still parses (None).
-        let legacy = "{\"Hello\":{\"pid\":3,\"protocol\":1}}";
-        match serde_json::from_str::<WorkerMsg>(legacy).expect("parse legacy") {
-            WorkerMsg::Hello {
-                pid: 3,
-                protocol: 1,
-                token: None,
-            } => {}
-            other => panic!("bad legacy parse: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn config_missing_and_reject_round_trip() {
+    fn config_missing_round_trips() {
         let nack = WorkerMsg::ConfigMissing {
             index: 4,
             config_hash: "ff00".into(),
         };
         let back: WorkerMsg = serde_json::from_str(&nack.to_line()).expect("parse");
         assert_eq!(back, nack);
-        let rej = CoordinatorMsg::Reject {
-            reason: "bad token".into(),
-        };
-        let back: CoordinatorMsg = serde_json::from_str(&rej.to_line()).expect("parse");
-        assert_eq!(back, rej);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The subprocess transport: one `dtn-fleet-worker` child process per
-//! worker slot, length-prefixed frames over stdin/stdout (the same
-//! framing as TCP, see [`crate::protocol::write_frame`]).
+//! worker slot, length-prefixed frames over stdin/stdout (see
+//! [`crate::protocol::write_frame`]).
 //!
 //! Each spawn attaches a reader thread that pumps the child's stdout
 //! frames into the coordinator inbox as [`Envelope::Msg`]s and delivers

@@ -1,11 +1,14 @@
 //! Transport abstraction: how the coordinator spawns workers and
 //! exchanges [`crate::protocol`] messages with them.
 //!
-//! The coordinator never touches processes, pipes or sockets directly —
-//! it drives [`Transport`] / [`WorkerHandle`] trait objects and reads a
-//! single mpsc channel of `(worker uid, Envelope)` pairs. That keeps
-//! every supervision policy (heartbeats, timeouts, retries, respawn)
-//! identical over the subprocess and TCP backends.
+//! The coordinator never touches processes or pipes directly — it
+//! drives [`Transport`] / [`WorkerHandle`] trait objects and reads a
+//! single mpsc channel of `(worker uid, Envelope)` pairs. The one
+//! production backend is [`crate::subprocess`]; the seam exists so
+//! tests can put an in-process fake worker behind the same coordinator
+//! (`tests/fleet.rs` drives a worker that NACKs its first assignment)
+//! and exercise supervision paths a well-behaved worker binary never
+//! takes.
 
 use crate::protocol::{CoordinatorMsg, WorkerMsg};
 use std::sync::mpsc::Sender;
@@ -18,8 +21,7 @@ use std::sync::mpsc::Sender;
 pub enum Envelope {
     /// A parsed protocol message from the worker.
     Msg(WorkerMsg),
-    /// The worker's stream ended (process exit, pipe or socket
-    /// closed). Carries the exit code when the transport knows it.
+    /// The worker's stream ended (process exit or pipe closed). Carries the exit code when the transport knows it.
     Gone(Option<i32>),
 }
 
@@ -32,7 +34,7 @@ pub trait WorkerHandle: Send {
     fn send(&mut self, msg: &CoordinatorMsg) -> Result<(), FleetError>;
     /// OS process id, 0 when the backend has none.
     fn pid(&self) -> u64;
-    /// Tears the worker down (kill the process / close the socket).
+    /// Tears the worker down (kill the process).
     /// Idempotent; called on loss, shutdown and drop.
     fn kill(&mut self);
 }
@@ -51,14 +53,6 @@ pub trait Transport {
     ) -> Result<Box<dyn WorkerHandle>, FleetError>;
     /// Stable backend label for stats and logs.
     fn label(&self) -> &'static str;
-    /// Number of workers the backend has ready to join beyond those
-    /// already spawned — e.g. authenticated TCP connections queued by
-    /// the listener. The coordinator polls this to revive dead worker
-    /// slots when a late worker arrives mid-sweep. Backends that only
-    /// create workers on demand (subprocess) report 0.
-    fn waiting_workers(&self) -> usize {
-        0
-    }
 }
 
 /// A fleet-level failure: the coordinator could not run the sweep at

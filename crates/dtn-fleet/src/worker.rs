@@ -2,7 +2,7 @@
 //! assignment at a time.
 //!
 //! This module is transport-neutral plumbing: the `dtn-fleet-worker`
-//! binary calls [`worker_main`] over real stdio or a TCP socket. Each
+//! binary calls [`worker_main`] over real stdio. Each
 //! cell runs through [`dtn_sim::sweep::run_cell`], the same
 //! panic-isolated runner the in-process sweep uses, so a worker's
 //! [`dtn_sim::sweep::CellRun`] records are bit-identical to
@@ -69,8 +69,6 @@ pub struct WorkerConfig {
     /// Private shard checkpoint this worker streams finished cells to
     /// (crash insurance merged by the coordinator on resume).
     pub shard: Option<PathBuf>,
-    /// Shared-secret token carried in the `Hello` (TCP fleets).
-    pub token: Option<String>,
     /// Test hook: exit with code 17 instead of running the cell.
     pub fail_once: Option<FaultHook>,
     /// Test hook: hang (sleep ~1h) instead of running the cell.
@@ -82,7 +80,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             heartbeat_secs: 0.5,
             shard: None,
-            token: None,
             fail_once: None,
             hang_once: None,
         }
@@ -108,11 +105,10 @@ pub fn run_assignment(index: usize, config_hash: &str, config: &str, validate: b
 
 /// The worker main loop: `Hello`, then heartbeats from a side thread
 /// while assignments stream in on `input` and replies stream out on
-/// `output`, every message one length-prefixed frame ([`write_frame`])
-/// on stdio and TCP alike. Returns the process exit code: 0 on clean
-/// shutdown, EOF or a framing violation, 1 when the coordinator became
-/// unreachable, 3 when the handshake was rejected
-/// ([`CoordinatorMsg::Reject`]), 17 on the `fail_once` test hook.
+/// `output`, every message one length-prefixed frame ([`write_frame`]).
+/// Returns the process exit code: 0 on clean shutdown, EOF or a framing
+/// violation, 1 when the coordinator became unreachable, 17 on the
+/// `fail_once` test hook.
 ///
 /// Since protocol v2 assignments reference configs by hash; bodies
 /// arrive in `Config` frames and are cached until the referencing cell
@@ -137,7 +133,6 @@ pub fn worker_main(
     if !emit(&WorkerMsg::Hello {
         pid: std::process::id() as u64,
         protocol: PROTOCOL_VERSION,
-        token: cfg.token.clone(),
     }) {
         return 1; // coordinator already gone
     }
@@ -166,9 +161,9 @@ pub fn worker_main(
         None
     };
 
-    // Append, never truncate: a TCP worker may start before the
-    // coordinator has merged the shard it left behind last time, and
-    // the coordinator deletes shards itself once merged.
+    // Append, never truncate: the coordinator deletes shards itself
+    // once merged, so a file that is still here holds cells it has not
+    // read yet (e.g. a resume whose checkpoint could not be restored).
     let mut shard = cfg.shard.as_ref().and_then(|path| {
         std::fs::OpenOptions::new()
             .create(true)
@@ -254,11 +249,6 @@ pub fn worker_main(
                     code = 1;
                     break;
                 }
-            }
-            CoordinatorMsg::Reject { reason } => {
-                eprintln!("dtn-fleet-worker: handshake rejected: {reason}");
-                code = 3;
-                break;
             }
             CoordinatorMsg::Shutdown => break,
         }
@@ -372,10 +362,7 @@ mod tests {
             config,
         };
         let (code, msgs) = serve(
-            WorkerConfig {
-                token: Some("sesame".into()),
-                ..WorkerConfig::default()
-            },
+            WorkerConfig::default(),
             &framed(&[
                 push.to_line(),
                 "not a protocol message".into(),
@@ -385,8 +372,14 @@ mod tests {
         );
         assert_eq!(code, 0);
         assert!(
-            matches!(&msgs[0], WorkerMsg::Hello { protocol: PROTOCOL_VERSION, token: Some(t), .. } if t == "sesame"),
-            "Hello carries the version and auth token"
+            matches!(
+                &msgs[0],
+                WorkerMsg::Hello {
+                    protocol: PROTOCOL_VERSION,
+                    ..
+                }
+            ),
+            "Hello carries the version"
         );
         assert!(matches!(&msgs[1], WorkerMsg::Started { config_hash, .. } if *config_hash == hash));
         assert!(matches!(&msgs[2], WorkerMsg::Done { run } if run.config_hash == hash));
@@ -416,15 +409,6 @@ mod tests {
         );
         assert!(matches!(&msgs[2], WorkerMsg::Started { .. }));
         assert!(matches!(&msgs[3], WorkerMsg::Done { run } if run.config_hash == hash));
-    }
-
-    #[test]
-    fn reject_frame_exits_with_code_3() {
-        let reject = CoordinatorMsg::Reject {
-            reason: "version mismatch".into(),
-        };
-        let (code, _) = serve(WorkerConfig::default(), &framed(&[reject.to_line()]));
-        assert_eq!(code, 3);
     }
 
     #[test]

@@ -1,8 +1,15 @@
 //! End-to-end fleet tests against real subprocess workers: bit-identical
 //! distribution, multi-source checkpoint merge/resume, and supervision
-//! (worker kills, hangs, spawn failures) under fault injection.
+//! (worker kills, hangs, spawn failures) under fault injection. One
+//! in-process fake worker covers the config re-push a real worker only
+//! needs when a push goes missing.
 
-use dtn_fleet::{run_fleet, run_sweep_fleet, FleetOptions, SubprocessTransport};
+use dtn_fleet::protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
+use dtn_fleet::worker::run_assignment;
+use dtn_fleet::{
+    run_fleet, run_sweep_fleet, Envelope, FleetError, FleetOptions, SubprocessTransport, Transport,
+    WorkerHandle,
+};
 use dtn_sim::config::{presets, PolicyKind};
 use dtn_sim::sweep::{
     load_checkpoint, materialize_jobs, run_sweep_hardened, SweepAxis, SweepCheckpoint,
@@ -10,7 +17,10 @@ use dtn_sim::sweep::{
 };
 use dtn_telemetry::{hash_config_json, SweepEvent};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Sender};
+use std::thread::JoinHandle;
 
 /// 2 axis points x 2 policies x 2 seeds = 8 cells, each well under a
 /// second — big enough to spread over workers, small enough for CI.
@@ -447,4 +457,118 @@ fn resumed_checkpoint_records_identically_through_run_cells_and_run_fleet() {
     for path in [ck_full, ck_local, ck_fleet] {
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// An in-process worker behind the coordinator's [`Transport`] seam. Its
+/// thread answers every `Assign` through [`run_assignment`], the runner
+/// the real worker uses, but NACKs its first `Assign` with
+/// `ConfigMissing`, as if the config push had been lost.
+#[derive(Default)]
+struct NackFirstAssign {
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// Coordinator-side end of a [`NackFirstAssign`] worker: an mpsc sender
+/// into the worker thread. Dropping it ends the thread.
+struct ChannelHandle(Option<Sender<CoordinatorMsg>>);
+
+impl WorkerHandle for ChannelHandle {
+    fn send(&mut self, msg: &CoordinatorMsg) -> Result<(), FleetError> {
+        let tx = self.0.as_ref().ok_or_else(|| FleetError::new("killed"))?;
+        tx.send(msg.clone())
+            .map_err(|_| FleetError::new("worker thread gone"))
+    }
+    fn pid(&self) -> u64 {
+        0
+    }
+    fn kill(&mut self) {
+        self.0 = None;
+    }
+}
+
+impl Transport for NackFirstAssign {
+    fn spawn(
+        &self,
+        uid: u64,
+        inbox: Sender<(u64, Envelope)>,
+    ) -> Result<Box<dyn WorkerHandle>, FleetError> {
+        let (tx, rx) = channel::<CoordinatorMsg>();
+        let thread = std::thread::spawn(move || {
+            let reply = |msg: WorkerMsg| {
+                let _ = inbox.send((uid, Envelope::Msg(msg)));
+            };
+            reply(WorkerMsg::Hello {
+                pid: 0,
+                protocol: PROTOCOL_VERSION,
+            });
+            let mut configs = HashMap::new();
+            let mut nacked = false;
+            for msg in rx {
+                match msg {
+                    CoordinatorMsg::Config {
+                        config_hash,
+                        config,
+                    } => {
+                        configs.insert(config_hash, config);
+                    }
+                    CoordinatorMsg::Assign {
+                        index,
+                        config_hash,
+                        validate,
+                        ..
+                    } => {
+                        if !nacked {
+                            // Pretend the push never arrived: drop it and NACK.
+                            nacked = true;
+                            configs.remove(&config_hash);
+                            reply(WorkerMsg::ConfigMissing { index, config_hash });
+                            continue;
+                        }
+                        let config = configs.remove(&config_hash).expect("config was re-pushed");
+                        reply(run_assignment(index, &config_hash, &config, validate));
+                    }
+                    CoordinatorMsg::Shutdown => break,
+                }
+            }
+        });
+        self.threads.lock().push(thread);
+        Ok(Box::new(ChannelHandle(Some(tx))))
+    }
+
+    fn label(&self) -> &'static str {
+        "in-process"
+    }
+}
+
+/// A worker that NACKs its first assignment makes the coordinator
+/// re-push the config and re-assign the cell: the sweep is still
+/// bit-identical, with exactly one extra push and no worker lost.
+#[test]
+fn config_missing_nack_triggers_re_push() {
+    let mut spec = quick_spec();
+    spec.axis = SweepAxis::InitialCopies(vec![8]);
+    spec.seeds = vec![1]; // 2 cells
+    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
+
+    let transport = NackFirstAssign::default();
+    let (out, stats) = run_sweep_fleet(
+        &spec,
+        &transport,
+        &FleetOptions {
+            workers: 1,
+            ..FleetOptions::default()
+        },
+    )
+    .expect("fleet runs");
+    for thread in transport.threads.lock().drain(..) {
+        thread.join().expect("fake worker thread panicked");
+    }
+
+    assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
+    assert_eq!(out.runs, reference.runs, "bit-identical despite the NACK");
+    assert_eq!(
+        stats.config_pushes, 3,
+        "2 first-sight pushes + 1 NACK re-push"
+    );
+    assert_eq!(stats.workers_lost, 0, "a NACK is not a worker loss");
 }

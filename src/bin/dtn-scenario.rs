@@ -71,14 +71,6 @@
 //! `--worker-arg ARG` (repeatable) passes ARG to every worker. Fleet
 //! workers run each cell on one thread, so `--workers` rejects
 //! `--threads` and `--world-threads` (exit 2).
-//!
-//! `--transport tcp` listens on `--listen ADDR` (default
-//! `127.0.0.1:0`; the bound address is printed) instead of spawning
-//! subprocesses: start `dtn-fleet-worker --connect HOST:PORT` on any
-//! machine (same `--token`, if set) and the coordinator adopts the
-//! first N to authenticate — plus late joiners to replace lost
-//! workers. Output stays bit-identical to every other backend. See
-//! EXPERIMENTS.md ("Multi-host sweeps over TCP") for the runbook.
 
 use sdsrp::fleet::{FleetCli, FLEET_USAGE};
 use sdsrp::sim::config::{presets, ImmunityMode, PolicyKind, RoutingKind, ScenarioConfig};
